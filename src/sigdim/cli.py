@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .embedding import Embedding, dimension_bound, embed
+from .embedding import DimensionBlock, Embedding, dimension_bound, embed
 from .errors import GraphInputError, PipelineError
 from .factor import StarTriangleFactor
 from .graphs import Graph, generate_exhaustive, parse_graph, sample_gnp
@@ -102,8 +102,6 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     coords = tuple(
         tuple(rat_from_json(x) for x in row) for row in data["coords"]
     )
-    from .embedding import DimensionBlock
-
     blocks = tuple(
         DimensionBlock(
             b["k"], PickClass(b["class"]), b["step"], tuple(b["dims"]),
@@ -188,23 +186,24 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _run_instance(g: Graph, r: Fraction | None) -> dict[str, Any] | None:
-    """Embed + verify; None means clean, otherwise a failure record."""
+def _run_instance(g: Graph, r: Fraction | None) -> tuple[int | None, dict[str, Any] | None]:
+    """Embed + verify once: (d, None) when clean, else (d or None, failure record)."""
     try:
         emb = embed(g, r)
     except PipelineError as exc:
-        return {"kind": "pipeline", "diagnostic": exc.to_json()}
+        return None, {"kind": "pipeline", "diagnostic": exc.to_json()}
     report = verify(g, emb)
     if report.verdict == "pass":
-        return None
-    return {"kind": "verification", "report": report.to_json(),
-            "picks": emb.picks.to_json(), "d": emb.d}
+        return emb.d, None
+    return emb.d, {"kind": "verification", "report": report.to_json(),
+                   "picks": emb.picks.to_json(), "d": emb.d}
 
 
 def _shrink(g: Graph, r: Fraction | None) -> tuple[Graph, dict[str, Any]]:
     """Greedily delete vertices while embed+verify still fails."""
-    failure = _run_instance(g, r)
-    assert failure is not None
+    _, failure = _run_instance(g, r)
+    if failure is None:
+        raise PipelineError("shrink", "instance to shrink does not fail", graph=g.serialize())
     improved = True
     while improved:
         improved = False
@@ -212,7 +211,7 @@ def _shrink(g: Graph, r: Fraction | None) -> tuple[Graph, dict[str, Any]]:
             cand = g.delete_vertex(v)
             if cand.n < 2 or cand.isolated_vertices():
                 continue
-            f = _run_instance(cand, r)
+            _, f = _run_instance(cand, r)
             if f is not None:
                 g, failure = cand, f
                 improved = True
@@ -235,13 +234,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         span = args.n_max - args.n_min + 1
         n = args.n_min + seed % span
         g, repairs = sample_gnp(n, p, seed)
-        failure = _run_instance(g, r)
+        d, failure = _run_instance(g, r)
         if failure is None:
             passed += 1
-            emb = embed(g, r)
             bound, refined = dimension_bound(n)
             limit = bound if refined is None else min(bound, refined)
-            slack_hist[limit - emb.d] = slack_hist.get(limit - emb.d, 0) + 1
+            slack_hist[limit - d] = slack_hist.get(limit - d, 0) + 1
             continue
         small, small_failure = _shrink(g, r)
         bundle = {
@@ -284,7 +282,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
             graphs += 1
             if compute_sig(oracle_embed_2ia(g)).edges == g.edges:
                 oracle_pass += 1
-            failure = _run_instance(g, r)
+            _, failure = _run_instance(g, r)
             if failure is None:
                 pipeline_pass += 1
             elif len(failures) < 5:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
+from .rationals import rat_to_json
+
 
 class GraphInputError(ValueError):
     """Rejected graph input.  ``kind`` is a stable machine-readable tag."""
@@ -41,9 +43,7 @@ class PipelineError(RuntimeError):
 
 def _plain(value: Any) -> Any:
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
+        return rat_to_json(value)
     if isinstance(value, (list, tuple, set, frozenset)):
         items = sorted(value) if isinstance(value, (set, frozenset)) else value
         return [_plain(v) for v in items]

@@ -44,7 +44,9 @@ def ceil_log2(x: int) -> int:
 
 def common_scale(values) -> int:
     """LCM of the denominators, i.e. the scale putting all values on Z."""
-    scale = 1
-    for v in values:
-        scale = lcm(scale, v.denominator)
-    return scale
+    return lcm(*{v.denominator for v in values})
+
+
+def to_grid(values, scale: int) -> list[int]:
+    """Exact integers x*scale, for a scale that every denominator divides."""
+    return [x.numerator * (scale // x.denominator) for x in values]

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import sub
 
 from .graphs import Graph
-from .rationals import common_scale
+from .rationals import common_scale, rat_to_json, to_grid
 
 Point = tuple[Fraction, ...]
 
@@ -28,7 +30,7 @@ class PointSet:
 
     @staticmethod
     def from_rows(rows) -> PointSet:
-        pts = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        pts = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows)
         if len(pts) < 2:
             raise ValueError("need at least two points")
         widths = {len(p) for p in pts}
@@ -37,63 +39,56 @@ class PointSet:
         return PointSet(widths.pop(), pts)
 
     def to_json(self) -> dict:
-        from .rationals import rat_to_json
-
         return {
             "d": self.d,
             "coords": [[rat_to_json(x) for x in p] for p in self.points],
         }
 
+    @cached_property
+    def scale(self) -> int:
+        """One common denominator: every comparison becomes integer arithmetic."""
+        return common_scale(x for p in self.points for x in p)
 
-def _scaled(ps: PointSet) -> tuple[list[tuple[int, ...]], int]:
-    # One common denominator turns every comparison into integer arithmetic.
-    scale = common_scale(x for p in ps.points for x in p)
-    rows = [tuple(int(x * scale) for x in p) for p in ps.points]
-    return rows, scale
+    @cached_property
+    def grid(self) -> tuple[tuple[int, ...], ...]:
+        """The points as exact integers in units of 1/scale."""
+        return tuple(tuple(to_grid(p, self.scale)) for p in self.points)
+
+    @cached_property
+    def distances(self) -> list[list[int]]:
+        """Symmetric matrix of grid sup-distances, each pair computed once; read-only."""
+        rows = self.grid
+        table: list[list[int]] = []
+        for u, a in enumerate(rows):
+            table.append([t[u] for t in table] + [0] + [_dist(a, b) for b in rows[u + 1:]])
+        return table
 
 
 def _dist(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return max(abs(x - y) for x, y in zip(a, b))
+    return max(map(abs, map(sub, a, b)))
+
+
+def _grid_radii(ps: PointSet) -> list[int]:
+    """Nearest-neighbor distance per point on the grid; coincident points raise."""
+    table = ps.distances
+    radius = [min(row[:u] + row[u + 1:]) for u, row in enumerate(table)]
+    if 0 in radius:
+        u = radius.index(0)
+        raise ValueError(f"duplicate points {u} and {table[u].index(0, u + 1)}")
+    return radius
 
 
 def compute_radii(ps: PointSet) -> list[Fraction]:
     """Exact nearest-neighbor sup-norm distance per point."""
-    rows, scale = _scaled(ps)
-    n = len(rows)
-    best = [None] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = _dist(rows[u], rows[v])
-            if d == 0:
-                raise ValueError(f"duplicate points {u} and {v}")
-            if best[u] is None or d < best[u]:
-                best[u] = d
-            if best[v] is None or d < best[v]:
-                best[v] = d
-    return [Fraction(b, scale) for b in best]
+    return [Fraction(b, ps.scale) for b in _grid_radii(ps)]
 
 
 def compute_sig(ps: PointSet) -> Graph:
     """Edge uv iff rho(u,v) < r_u + r_v, decided in exact integer arithmetic."""
-    rows, _ = _scaled(ps)
-    n = len(rows)
-    dist = [[0] * n for _ in range(n)]
-    radius = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = _dist(rows[u], rows[v])
-            if d == 0:
-                raise ValueError(f"duplicate points {u} and {v}")
-            dist[u][v] = d
-    for u in range(n):
-        radius[u] = min(dist[min(u, v)][max(u, v)] for v in range(n) if v != u)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if dist[u][v] < radius[u] + radius[v]
-    ]
-    return Graph(n, frozenset(edges))
+    radius = _grid_radii(ps)
+    edges = [(u, v) for u, row in enumerate(ps.distances)
+             for v in range(u + 1, len(row)) if row[v] < radius[u] + radius[v]]
+    return Graph(len(radius), frozenset(edges))
 
 
 def oracle_embed_2ia(g: Graph) -> PointSet:

@@ -17,17 +17,25 @@ The suite is diagnostic: taken over all k it implies the first two checks,
 but the direct recomputation is the authoritative criterion.  The verifier
 never consults the embedder's case decisions, only the coordinate matrix,
 the graph, and the pipeline trace (picks, factor, schedule).
+
+Coordinates and scheduled radii share one integer grid.  Each pairwise
+sup-distance rho is computed once, in the point set's distance table, which
+both the SIG and the radii read.  A block's distance never exceeds rho, so
+rho(u,nu) <= r(u), or rho(u,v) < r(u) + r(v) on an edge, clears that pair of
+(1) or (5) in every block; only the other pairs are re-evaluated, block by
+block, so the failure list is the one a full per-block scan gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
 from .embedding import Embedding, dimension_bound
 from .graphs import Graph
-from .rationals import common_scale, rat_to_json
+from .rationals import common_scale, rat_to_json, to_grid
 from .sig import PointSet, compute_radii, compute_sig
 
 
@@ -74,68 +82,71 @@ class VerificationReport:
         }
 
 
-class _Scaled:
-    """Embedding data on a common integer grid, for cheap exact comparisons."""
+class _Grid:
+    """What the suite reads for every block, on one integer scale, built once."""
 
-    def __init__(self, emb: Embedding):
-        values = [x for row in emb.coords for x in row]
-        values.extend(emb.schedule.rv.values())
-        self.scale = common_scale(values)
-        self.coords = [tuple(int(x * self.scale) for x in row) for row in emb.coords]
-        self.rv = {v: int(r * self.scale) for v, r in emb.schedule.rv.items()}
-
-    def block_dist(self, dims: tuple[int, ...], u: int, v: int) -> int:
-        cu, cv = self.coords[u], self.coords[v]
-        return max(abs(cu[j] - cv[j]) for j in dims)
+    def __init__(self, g: Graph, emb: Embedding, points: PointSet):
+        rv = emb.schedule.rv
+        self.scale = lcm(points.scale, common_scale(rv.values()))
+        up = self.scale // points.scale
+        grid, table = points.grid, points.distances
+        if up != 1:  # scheduled radii off the coordinate grid
+            grid, table = ([[x * up for x in row] for row in mat] for mat in (grid, table))
+        n = g.n
+        self.cols = list(zip(*grid))
+        self.rv = to_grid((rv[v] for v in range(n)), self.scale)
+        self.index = emb.picks.index_of()
+        self.center = [emb.factor.leaf_center.get(v) for v in range(n)]
+        self.adj = [set(a) for a in g.adj]
+        self.far_pseudo = [(u, nu) for u in range(n) for nu in emb.pseudo.n1[u]
+                           if table[u][nu] > self.rv[u]]
+        self.long_edges = [(u, v) for u, v in g.sorted_edges()
+                           if table[u][v] >= self.rv[u] + self.rv[v]]
 
 
 def check_inequalities(g: Graph, emb: Embedding, k: int,
-                       _scaled: _Scaled | None = None) -> list[InequalityFailure]:
+                       grid: _Grid | None = None) -> list[InequalityFailure]:
     """Evaluate families (1)-(5) for block k; returns one entry per violation."""
-    sc = _scaled if _scaled is not None else _Scaled(emb)
-    dims = emb.blocks[k].dims
-    index = emb.picks.index_of()
-    leaf_center = emb.factor.leaf_center
-    n = g.n
+    if grid is None:
+        grid = _Grid(g, emb, PointSet.from_rows(emb.coords))
+    cols = [grid.cols[j] for j in emb.blocks[k].dims]
+    if not cols:
+        raise ValueError(f"block {k} has no dimensions")
+    rv, index, center = grid.rv, grid.index, grid.center
     fails: list[InequalityFailure] = []
 
     def record(ineq: int, u: int, v: int, lhs: int, rhs: int) -> None:
-        fails.append(InequalityFailure(
-            k, ineq, (u, v),
-            Fraction(lhs, sc.scale), Fraction(rhs, sc.scale),
-        ))
+        fails.append(InequalityFailure(k, ineq, (u, v), Fraction(lhs, grid.scale),
+                                       Fraction(rhs, grid.scale)))
 
-    for u in range(n):
-        ru = sc.rv[u]
-        for nu in emb.pseudo.n1[u]:
-            lhs = sc.block_dist(dims, u, nu)
-            if lhs > ru:
-                record(1, u, nu, lhs, ru)
+    def block_dist(u: int, v: int) -> int:
+        return max(abs(c[u] - c[v]) for c in cols)
 
-    def share_star(u: int, v: int) -> bool:
-        cu = leaf_center.get(u)
-        return cu is not None and cu == leaf_center.get(v)
+    for u, nu in grid.far_pseudo:
+        lhs = block_dist(u, nu)
+        if lhs > rv[u]:
+            record(1, u, nu, lhs, rv[u])
 
     for u in emb.picks.picks[k].vertices:
-        ru = sc.rv[u]
-        for v in range(n):
+        ru, cu, adj = rv[u], center[u], grid.adj[u]
+        diffs = [[abs(x - c[u]) for x in c] for c in cols]
+        for v, lhs in enumerate(diffs[0] if len(diffs) == 1 else map(max, *diffs)):
             if v == u:
                 continue
-            rv_ = sc.rv[v]
-            lhs = sc.block_dist(dims, u, v)
+            both, apart = ru + rv[v], v not in adj
+            share = cu is not None and cu == center[v]
             if index[v] <= k:
-                if lhs < max(ru, rv_):
-                    record(2, u, v, lhs, max(ru, rv_))
-                if not g.has_edge(u, v) and share_star(u, v) and lhs < ru + rv_:
-                    record(3, u, v, lhs, ru + rv_)
-            if index[v] >= k:
-                if not g.has_edge(u, v) and not share_star(u, v) and lhs < ru + rv_:
-                    record(4, u, v, lhs, ru + rv_)
+                if lhs < max(ru, rv[v]):
+                    record(2, u, v, lhs, max(ru, rv[v]))
+                if apart and share and lhs < both:
+                    record(3, u, v, lhs, both)
+            if index[v] >= k and apart and not share and lhs < both:
+                record(4, u, v, lhs, both)
 
-    for u, v in g.sorted_edges():
-        lhs = sc.block_dist(dims, u, v)
-        if lhs >= sc.rv[u] + sc.rv[v]:
-            record(5, u, v, lhs, sc.rv[u] + sc.rv[v])
+    for u, v in grid.long_edges:
+        lhs = block_dist(u, v)
+        if lhs >= rv[u] + rv[v]:
+            record(5, u, v, lhs, rv[u] + rv[v])
     return fails
 
 
@@ -153,21 +164,15 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
         radii = compute_radii(points)
     except ValueError as exc:
         diagnostics["degenerate"] = str(exc)
-        report = VerificationReport(False, False, False, [], diagnostics)
-        return report
+        return VerificationReport(False, False, False, [], diagnostics)
 
     sig_equal = realized.edges == g.edges
     if not sig_equal:
-        missing = sorted(g.edges - realized.edges)
-        extra = sorted(realized.edges - g.edges)
-        diagnostics["missing_edges"] = [list(e) for e in missing[:10]]
-        diagnostics["extra_edges"] = [list(e) for e in extra[:10]]
+        diagnostics["missing_edges"] = [list(e) for e in sorted(g.edges - realized.edges)[:10]]
+        diagnostics["extra_edges"] = [list(e) for e in sorted(realized.edges - g.edges)[:10]]
 
-    mismatches = [
-        (v, radii[v], emb.schedule.rv[v])
-        for v in range(g.n)
-        if radii[v] != emb.schedule.rv[v]
-    ]
+    mismatches = [(v, radii[v], emb.schedule.rv[v])
+                  for v in range(g.n) if radii[v] != emb.schedule.rv[v]]
     radius_agree = not mismatches
     if mismatches:
         diagnostics["radius_mismatches"] = [
@@ -180,9 +185,9 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
     if not bound_ok:
         diagnostics["dimension"] = {"d": emb.d, "general": general, "refined": refined}
 
-    scaled = _Scaled(emb)
+    grid = _Grid(g, emb, points)
     failures: list[InequalityFailure] = []
     for k in range(emb.picks.count):
-        failures.extend(check_inequalities(g, emb, k, _scaled=scaled))
+        failures.extend(check_inequalities(g, emb, k, grid))
 
     return VerificationReport(sig_equal, radius_agree, bound_ok, failures, diagnostics)

@@ -150,3 +150,34 @@ def test_exhaustive_n3(tmp_path, capsys):
 def test_exhaustive_range(capsys):
     code, _, _ = run(capsys, "exhaustive", "--max-n", "9")
     assert code == 1
+
+
+def test_fuzz_embeds_each_instance_once(tmp_path, capsys, monkeypatch):
+    import sigdim.cli
+
+    calls = []
+    embed = sigdim.cli.embed
+    monkeypatch.setattr(sigdim.cli, "embed", lambda g, r: calls.append(g) or embed(g, r))
+    code, _, _ = run(capsys, "fuzz", "--n-min", "6", "--n-max", "12", "--p", "1/2",
+                     "--seed", "3", "--count", "7", "-o", tmp_path / "s.json")
+    summary = json.loads((tmp_path / "s.json").read_text())
+    assert code == 0 and summary["passed"] == 7
+    assert len(calls) == 7
+    assert sum(summary["bound_slack_histogram"].values()) == 7
+
+
+def test_shrink_rejects_passing_instance():
+    from sigdim import PipelineError, parse_graph
+    from sigdim.cli import _shrink
+
+    with pytest.raises(PipelineError, match="does not fail"):
+        _shrink(parse_graph(K2), None)
+
+
+def test_pipeline_error_json_encodes_fractions():
+    from fractions import Fraction
+
+    from sigdim import PipelineError
+
+    exc = PipelineError("schedule", "bad radius", r=Fraction(7, 3), rv=[Fraction(4)])
+    assert exc.to_json()["details"] == {"r": "7/3", "rv": [4]}

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sigdim.sig
 from sigdim import check_inequalities, embed, generate_random, parse_graph, verify
 from conftest import C3, K13, K2
 
@@ -83,6 +86,14 @@ def test_suite_clean_implies_direct_checks(corpus5):
             assert rep.sig_equal and rep.radius_agree
 
 
+def test_empty_block_rejected():
+    g = parse_graph(C3)
+    emb = embed(g)
+    blocks = (replace(emb.blocks[0], dims=()),) + emb.blocks[1:]
+    with pytest.raises(ValueError, match="block 0 has no dimensions"):
+        verify(g, replace(emb, blocks=blocks))
+
+
 def test_vertex_count_mismatch():
     g2 = parse_graph(K2)
     g3 = parse_graph(C3)
@@ -103,3 +114,181 @@ def test_known_construction_gap_documented():
     assert [f.ineq for f in rep.inequality_failures] == [2]
     f = rep.inequality_failures[0]
     assert f.pair == (15, 7) and f.lhs == 212 and f.rhs == 216
+    # The complete failure list, not just its first entry.
+    assert rep.to_json()["inequality_failures"] == [
+        {"k": 6, "inequality": 2, "pair": [15, 7], "lhs": 212, "rhs": 216},
+    ]
+    assert rep.to_json() == reference_report(g, emb)
+
+
+# -- reference verifier -------------------------------------------------------
+#
+# A literal transcription of the verify module docstring, kept independent of
+# sigdim.verify and sigdim.sig: all arithmetic on Fractions, the SIG and the
+# radii in two separate passes, and every family evaluated over its whole
+# domain in every block.
+
+
+def _rat(x: Fraction) -> int | str:
+    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _rho(a, b, dims) -> Fraction:
+    return max(abs(a[j] - b[j]) for j in dims)
+
+
+def _reference_sig_and_radii(coords):
+    n, full = len(coords), range(len(coords[0]))
+    dist = {}
+    for u in range(n):  # pass 1: the SIG
+        for v in range(u + 1, n):
+            dist[u, v] = _rho(coords[u], coords[v], full)
+            if dist[u, v] == 0:
+                raise ValueError(f"duplicate points {u} and {v}")
+    radius = [min(dist[min(u, v), max(u, v)] for v in range(n) if v != u)
+              for u in range(n)]
+    edges = {(u, v) for (u, v), d in dist.items() if d < radius[u] + radius[v]}
+    radii = [min(_rho(coords[u], coords[v], full) for v in range(n) if v != u)
+             for u in range(n)]  # pass 2: the radii
+    return edges, radii
+
+
+def _reference_block(g, emb, k) -> list[dict]:
+    coords, rv, dims = emb.coords, emb.schedule.rv, emb.blocks[k].dims
+    index = emb.picks.index_of()
+    center = emb.factor.leaf_center
+    fails = []
+
+    def record(ineq, u, v, lhs, rhs):
+        fails.append({"k": k, "inequality": ineq, "pair": [u, v],
+                      "lhs": _rat(lhs), "rhs": _rat(rhs)})
+
+    for u in range(g.n):
+        for nu in emb.pseudo.n1[u]:
+            lhs = _rho(coords[u], coords[nu], dims)
+            if not lhs <= rv[u]:
+                record(1, u, nu, lhs, rv[u])
+    for u in emb.picks.picks[k].vertices:
+        for v in range(g.n):
+            if v == u:
+                continue
+            lhs = _rho(coords[u], coords[v], dims)
+            non_edge = (min(u, v), max(u, v)) not in g.edges
+            share = center.get(u) is not None and center.get(u) == center.get(v)
+            if index[v] <= k:
+                if not lhs >= max(rv[u], rv[v]):
+                    record(2, u, v, lhs, max(rv[u], rv[v]))
+                if non_edge and share and not lhs >= rv[u] + rv[v]:
+                    record(3, u, v, lhs, rv[u] + rv[v])
+            if index[v] >= k and non_edge and not share and not lhs >= rv[u] + rv[v]:
+                record(4, u, v, lhs, rv[u] + rv[v])
+    for u, v in sorted(g.edges):
+        lhs = _rho(coords[u], coords[v], dims)
+        if not lhs < rv[u] + rv[v]:
+            record(5, u, v, lhs, rv[u] + rv[v])
+    return fails
+
+
+def reference_report(g, emb) -> dict:
+    diagnostics = {}
+    try:
+        edges, radii = _reference_sig_and_radii(emb.coords)
+    except ValueError as exc:
+        diagnostics["degenerate"] = str(exc)
+        return {"verdict": "fail", "sig_equal": False, "radius_agree": False,
+                "bound_ok": False, "inequality_failures": [],
+                "diagnostics": diagnostics}
+    sig_equal = edges == g.edges
+    if not sig_equal:
+        diagnostics["missing_edges"] = [list(e) for e in sorted(g.edges - edges)[:10]]
+        diagnostics["extra_edges"] = [list(e) for e in sorted(edges - g.edges)[:10]]
+    rv = emb.schedule.rv
+    wrong = [v for v in range(g.n) if radii[v] != rv[v]]
+    if wrong:
+        diagnostics["radius_mismatches"] = [
+            {"vertex": v, "actual": _rat(radii[v]), "scheduled": _rat(rv[v])}
+            for v in wrong[:10]
+        ]
+    general = 2 * g.n // 3 + 2
+    refined = None if g.n % 3 == 0 else -(-2 * g.n // 3) + 1
+    bound_ok = emb.d <= general and (refined is None or emb.d <= refined)
+    if not bound_ok:
+        diagnostics["dimension"] = {"d": emb.d, "general": general, "refined": refined}
+    failures = [f for k in range(emb.picks.count) for f in _reference_block(g, emb, k)]
+    ok = sig_equal and not wrong and bound_ok and not failures
+    return {"verdict": "pass" if ok else "fail", "sig_equal": sig_equal,
+            "radius_agree": not wrong, "bound_ok": bound_ok,
+            "inequality_failures": failures, "diagnostics": diagnostics}
+
+
+def assert_same_report(g, emb):
+    # Compared as JSON text, so key order and value types count too.
+    assert json.dumps(verify(g, emb).to_json()) == json.dumps(reference_report(g, emb))
+
+
+@st.composite
+def embedded_gnp(draw):
+    n = draw(st.integers(2, 25))
+    p = draw(st.sampled_from([0.1, 0.2, 0.5, 0.9]))
+    g = generate_random(n, p, draw(st.integers(0, 10**6)))
+    r = draw(st.sampled_from([None, Fraction(7, 3)]))
+    return g, embed(g, r)
+
+
+def boundary_move(emb, g, which, dim, sign):
+    """Put an edge exactly on the family-(5) boundary along one coordinate."""
+    u, v = sorted(g.edges)[which % len(g.edges)]
+    rv = emb.schedule.rv
+    target = emb.coords[v][dim] + sign * (rv[u] + rv[v])
+    return perturb(emb, u, dim, target - emb.coords[u][dim])
+
+
+coordinate_moves = st.lists(st.tuples(st.integers(0, 24), st.integers(0, 40),
+                                      st.fractions(-4, 4, max_denominator=3)),
+                            min_size=1, max_size=4)
+
+
+@given(embedded_gnp(), coordinate_moves, st.integers(0, 300), st.integers(0, 40),
+       st.sampled_from([-1, 1]))
+@settings(max_examples=40, deadline=None)
+def test_verify_matches_reference(case, moves, edge, dim, sign):
+    g, emb = case
+    assert_same_report(g, emb)
+    moved = emb
+    for vertex, j, amount in moves:
+        moved = perturb(moved, vertex % g.n, j % emb.d, amount)
+    assert_same_report(g, moved)
+    assert_same_report(g, boundary_move(emb, g, edge, dim % emb.d, sign))
+
+
+def test_verify_matches_reference_off_grid_radius():
+    # A scheduled radius off the coordinate grid puts both on a finer scale.
+    g = generate_random(12, 0.3, 5)
+    emb = embed(g)
+    rv = dict(emb.schedule.rv)
+    rv[3] += Fraction(1, 7)
+    assert_same_report(g, replace(emb, schedule=replace(emb.schedule, rv=rv)))
+
+
+def test_verify_matches_reference_on_duplicates():
+    g = generate_random(10, 0.5, 3)
+    emb = embed(g)
+    coords = list(emb.coords)
+    coords[7] = coords[2]
+    assert_same_report(g, replace(emb, coords=tuple(coords)))
+
+
+def test_each_pair_distance_computed_once(monkeypatch):
+    # SIG, radii and the prefilter of families (1)/(5) all read one table.
+    g = generate_random(30, 0.5, 11)
+    emb = embed(g)
+    pairs = []
+    dist = sigdim.sig._dist
+
+    def counted(a, b):
+        pairs.append(frozenset((a, b)))
+        return dist(a, b)
+
+    monkeypatch.setattr(sigdim.sig, "_dist", counted)
+    assert verify(g, emb).verdict == "pass"
+    assert len(pairs) == len(set(pairs)) == g.n * (g.n - 1) // 2
