@@ -77,8 +77,12 @@ def _summary_stream(out: str | None):
 
 
 def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
-    """Rebuild a full Embedding from the JSON written by `embed`."""
+    """Rebuild a full Embedding from the JSON written by `embed`; reject a malformed one."""
     trace = data["trace"]
+    rows = [[rat_from_json(x) for x in row] for row in data["coords"]]
+    if not len(rows) == len(trace["m"]) == len(trace["rv"]) == g.n:
+        raise ValueError(f"coords, trace.m and trace.rv need one entry per vertex, n={g.n}")
+    points = PointSet.from_rows(rows)
     fd = trace["factor"]
     factor = StarTriangleFactor(
         stars={int(u): frozenset(s) for u, s in fd["stars"].items()},
@@ -94,22 +98,23 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
         factor,
     )
     pn = build_pseudo(factor, picks)
-    r = rat_from_json(data["r"])
-    delta = rat_from_json(data["delta"])
-    m = {v: trace["m"][v] for v in range(g.n)}
-    rv = {v: rat_from_json(trace["rv"][v]) for v in range(g.n)}
-    sched = RadiusSchedule(r, delta, m, rv)
-    coords = tuple(
-        tuple(rat_from_json(x) for x in row) for row in data["coords"]
-    )
+    picked = sorted(v for p in picks.picks for v in p.vertices)
+    if picked != list(range(g.n)) or set(pn.n1) != set(range(g.n)):
+        raise ValueError("trace.picks must partition the vertices and trace.factor cover them")
     blocks = tuple(
-        DimensionBlock(
-            b["k"], PickClass(b["class"]), b["step"], tuple(b["dims"]),
-            {v: tuple(coords[v][j] for j in b["dims"]) for v in range(g.n)},
-        )
+        DimensionBlock(b["k"], PickClass(b["class"]), b["step"], tuple(b["dims"]))
         for b in data["blocks"]
     )
-    return Embedding(g, factor, picks, pn, sched, blocks, coords, data["d"])
+    ks = list(range(picks.count))
+    if [p.k for p in picks.picks] != ks or [b.k for b in blocks] != ks:
+        raise ValueError("picks and blocks must be numbered 0, 1, ... in order")
+    if data["d"] != points.d or any(not b.dims or min(b.dims) < 0 or max(b.dims) >= points.d
+                                    for b in blocks):
+        raise ValueError(f"d and every block's dims must fit the coordinate width {points.d}")
+    sched = RadiusSchedule(rat_from_json(data["r"]), rat_from_json(data["delta"]),
+                           dict(enumerate(trace["m"])),
+                           {v: rat_from_json(x) for v, x in enumerate(trace["rv"])})
+    return Embedding(g, factor, picks, pn, sched, blocks, points)
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
@@ -118,9 +123,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
     except (GraphInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    r = parse_rational(args.r) if args.r else None
     try:
-        emb = embed(g, r)
+        emb = embed(g, args.r)
     except PipelineError as exc:
         print(json.dumps(exc.to_json(), indent=2), file=sys.stderr)
         return EXIT_PIPELINE
@@ -140,10 +144,8 @@ def cmd_sig(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(args.points).read_text())
         rows = data["coords"] if isinstance(data, dict) else data
-        ps = PointSet.from_rows(
-            [[rat_from_json(x) for x in row] for row in rows]
-        )
-    except (OSError, ValueError, KeyError) as exc:
+        ps = PointSet.from_rows([[rat_from_json(x) for x in row] for row in rows])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     g = compute_sig(ps)
@@ -154,16 +156,11 @@ def cmd_sig(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.graph)
-        data = json.loads(Path(args.points).read_text())
-        emb = embedding_from_json(g, data)
-    except (GraphInputError, OSError, ValueError, KeyError) as exc:
+        emb = embedding_from_json(g, json.loads(Path(args.points).read_text()))
+    except (OSError, ValueError, KeyError, TypeError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        report = verify(g, emb)
-    except (PipelineError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    report = verify(g, emb)
     rendered = _render_report(report.to_json(), args.format)
     if args.out:
         Path(args.out).write_text(rendered)
@@ -223,7 +220,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if not 2 <= args.n_min <= args.n_max:
         print("error: need 2 <= n-min <= n-max", file=sys.stderr)
         return EXIT_INPUT
-    r = parse_rational(args.r) if args.r else None
     p = parse_rational(args.p)
     outdir = Path(args.bundle_dir)
     passed = 0
@@ -234,14 +230,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         span = args.n_max - args.n_min + 1
         n = args.n_min + seed % span
         g, repairs = sample_gnp(n, p, seed)
-        d, failure = _run_instance(g, r)
+        d, failure = _run_instance(g, args.r)
         if failure is None:
             passed += 1
             bound, refined = dimension_bound(n)
             limit = bound if refined is None else min(bound, refined)
             slack_hist[limit - d] = slack_hist.get(limit - d, 0) + 1
             continue
-        small, small_failure = _shrink(g, r)
+        small, small_failure = _shrink(g, args.r)
         bundle = {
             "graph": g.serialize(),
             "shrunk_graph": small.serialize(),
@@ -249,7 +245,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             "n": n,
             "p": str(p),
             "repaired_edges": [list(e) for e in repairs],
-            "r": None if r is None else str(r),
+            "r": None if args.r is None else str(args.r),
             "failure": failure,
             "shrunk_failure": small_failure,
         }
@@ -272,7 +268,6 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     if not 2 <= args.max_n <= 6:
         print("error: need 2 <= max-n <= 6", file=sys.stderr)
         return EXIT_INPUT
-    r = parse_rational(args.r) if args.r else None
     per_n = []
     all_ok = True
     for n in range(2, args.max_n + 1):
@@ -282,7 +277,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
             graphs += 1
             if compute_sig(oracle_embed_2ia(g)).edges == g.edges:
                 oracle_pass += 1
-            _, failure = _run_instance(g, r)
+            _, failure = _run_instance(g, args.r)
             if failure is None:
                 pipeline_pass += 1
             elif len(failures) < 5:
@@ -352,6 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "r", None) is not None:
+        try:
+            args.r = parse_rational(args.r)
+            if args.r <= 0:
+                raise ValueError(f"radius must be positive, got {args.r}")
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     return args.func(args)
 
 

@@ -11,8 +11,8 @@ Within a block, *all* vertices of the graph receive coordinates from a case
 table keyed on pseudo-neighborhood membership, pick order relative to k, and
 adjacency to the group's members.  The tables are transcribed verbatim; a
 vertex matching no row is a construction failure and raises a structured
-diagnostic instead of inventing a value.  With the default radius r = 12n
-every coordinate is an integer.
+diagnostic instead of inventing a value.  Tables work in integer units of
+delta = r/(6n) (r = 6n, r(v) = 6n - 2m(v)); ``embed`` scales by delta once.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from .picking import (PickClass, PickedSet, PickSequence, pick_vertices,
 from .pseudo import (PseudoNeighborhood, RadiusSchedule, build_pseudo,
                      default_radius, radius_schedule, validate_schedule)
 from .rationals import ceil_log2, rat_to_json
+from .sig import PointSet
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class DimensionBlock:
     cls: PickClass
     step: int
     dims: tuple[int, ...]
-    values: dict[int, Vec]
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,11 @@ class Embedding:
     pseudo: PseudoNeighborhood
     schedule: RadiusSchedule
     blocks: tuple[DimensionBlock, ...]
-    coords: tuple[Vec, ...]
-    d: int
+    points: PointSet
+
+    @property
+    def d(self) -> int:
+        return self.points.d
 
     def to_json(self) -> dict[str, Any]:
         sched = self.schedule
@@ -66,7 +69,7 @@ class Embedding:
                 {"k": b.k, "class": b.cls.value, "dims": list(b.dims), "step": b.step}
                 for b in self.blocks
             ],
-            "coords": [[rat_to_json(x) for x in row] for row in self.coords],
+            "coords": self.points.to_json()["coords"],
             "trace": {
                 "picks": self.picks.to_json(),
                 "factor": self.factor.to_json(),
@@ -96,7 +99,7 @@ def block_width(cls: PickClass, size: int) -> int:
 
 
 class _Ctx:
-    """Shared lookups for the block builders."""
+    """Shared lookups for the block builders; radii in delta units."""
 
     def __init__(self, g: Graph, f: StarTriangleFactor, picks: PickSequence,
                  pn: PseudoNeighborhood, sched: RadiusSchedule):
@@ -104,8 +107,9 @@ class _Ctx:
         self.f = f
         self.picks = picks
         self.pn = pn
-        self.sched = sched
         self.index = picks.index_of()
+        self.r = 6 * g.n
+        self.rv = [self.r - 2 * sched.m[v] for v in range(g.n)]
 
     def edge(self, u: int, v: int) -> bool:
         return self.g.has_edge(u, v)
@@ -128,18 +132,18 @@ class _Ctx:
 # class I: one dimension per picked vertex
 
 def _block_random(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
-    rv, dl = ctx.sched.rv, ctx.sched.delta
+    rv = ctx.rv
     columns = []
     for w in pick.vertices:
         near = ctx.pn.n1[w]
-        col: dict[int, Fraction] = {}
+        col: dict[int, int] = {}
         for v in range(ctx.g.n):
             if v == w:
                 col[v] = -rv[w]
             elif v in near:
-                col[v] = Fraction(0)
+                col[v] = 0
             elif ctx.edge(v, w):
-                col[v] = rv[v] - dl
+                col[v] = rv[v] - 1
             else:
                 col[v] = rv[v]
         columns.append(col)
@@ -156,7 +160,7 @@ def _sign_vector(i: int, width: int) -> tuple[int, ...]:
 
 
 def _block_residual(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
-    rv, dl = ctx.sched.rv, ctx.sched.delta
+    rv = ctx.rv
     members = list(pick.vertices)
     m = len(members)
     width = ceil_log2(m + 1)
@@ -170,11 +174,11 @@ def _block_residual(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
         if v in vec_of:
             out[v] = tuple(rv[v] * s for s in vec_of[v])
         elif v in near:
-            out[v] = tuple(Fraction(0) for _ in range(width))
+            out[v] = (0,) * width
         elif v in second:
             out[v] = tuple(rv[v] * s for s in outside_vec)
         else:
-            out[v] = tuple((rv[v] - dl) * s for s in outside_vec)
+            out[v] = tuple((rv[v] - 1) * s for s in outside_vec)
     return out
 
 
@@ -182,9 +186,9 @@ def _block_residual(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
 # class III: non-adjacent pair on one dimension
 
 def _block_pair(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
-    rv = ctx.sched.rv
+    rv = ctx.rv
     k = pick.k
-    half = ctx.sched.r / 2 - ctx.sched.delta * (k + 1)
+    half = ctx.r // 2 - (k + 1)
     p, q = pick.roles["p"], pick.roles["q"]
     p_side = ctx.pn.related(p) - {p}
     q_side = ctx.pn.related(q) - {q}
@@ -201,7 +205,7 @@ def _block_pair(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
         elif v in q_side:
             val = half
         else:
-            val = Fraction(0)
+            val = 0
         out[v] = (val,)
     return out
 
@@ -210,7 +214,7 @@ def _block_pair(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
 # class IV: triple inside the final clique
 
 def _block_clique(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
-    rv, dl, r = ctx.sched.rv, ctx.sched.delta, ctx.sched.r
+    rv, r = ctx.rv, ctx.r
     k = pick.k
     trio = pick.vertices
     related_pairs = [
@@ -224,11 +228,11 @@ def _block_clique(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
         y, z = sorted(set(trio) - {x})
         for v in range(ctx.g.n):
             if v == x:
-                out[v] = (Fraction(0), Fraction(0))
+                out[v] = (0, 0)
             elif v == y:
-                out[v] = (Fraction(0), r)
+                out[v] = (0, r)
             elif v == z:
-                out[v] = (r, Fraction(0))
+                out[v] = (r, 0)
             elif v in ctx.pn.n1[x]:
                 out[v] = (rv[v], rv[v])
             elif v in ctx.pn.n1[y]:
@@ -243,11 +247,11 @@ def _block_clique(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
         n_pq = (ctx.pn.n1[p_] | ctx.pn.n1[q_]) - {p_, q_}
         for v in range(ctx.g.n):
             if v == p_:
-                out[v] = (Fraction(0), r - rv[v])
+                out[v] = (0, r - rv[v])
             elif v == q_:
-                out[v] = (Fraction(0), r)
+                out[v] = (0, r)
             elif v == s_:
-                out[v] = (r, Fraction(0))
+                out[v] = (r, 0)
             elif v in n_pq:
                 out[v] = (rv[v], r)
             elif v in ctx.pn.n1[s_]:
@@ -260,13 +264,13 @@ def _block_clique(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
         p_, q_, s_ = sorted(trio)
         for v in range(ctx.g.n):
             if v == p_:
-                out[v] = (-rv[v], Fraction(0))
+                out[v] = (-rv[v], 0)
             elif v == q_:
                 out[v] = (-rv[v], -rv[v])
             elif v == s_:
-                out[v] = (Fraction(0), -rv[v])
+                out[v] = (0, -rv[v])
             else:
-                out[v] = (rv[v] - dl, rv[v] - dl)
+                out[v] = (rv[v] - 1, rv[v] - 1)
     else:
         raise ctx.unreachable(k, "IV", trio[0], reason="two related pairs")
     return out
@@ -276,9 +280,9 @@ def _block_clique(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
 # class V: outside vertex + two leaves of the last star
 
 def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
-    rv, dl = ctx.sched.rv, ctx.sched.delta
+    rv = ctx.rv
     k = pick.k
-    half = ctx.sched.r / 2 - dl * (k + 1)
+    half = ctx.r // 2 - (k + 1)
     v0, w1, w2, w = (pick.roles[r_] for r_ in ("v0", "w1", "w2", "w"))
     star = ctx.pn.n1[w]  # the leaf set
     v0_side = ctx.pn.related(v0) - {v0}
@@ -293,16 +297,16 @@ def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
         elif v == v0:
             out[v] = (rv[v0] + half, rv[v0])
         elif v == w:
-            out[v] = (-half, Fraction(0))
+            out[v] = (-half, 0)
         elif v in star:
             if ctx.before(v, k) or ctx.edge(v, v0):
-                out[v] = (rv[w] - half, -rv[w] + dl)
+                out[v] = (rv[w] - half, -rv[w] + 1)
             else:
                 out[v] = (rv[w] - half, -rv[w])
         elif v in v0_side:
-            out[v] = (half, Fraction(0))
+            out[v] = (half, 0)
         elif v not in reach:
-            out[v] = (rv[v] - half - dl, -rv[v] + dl)
+            out[v] = (rv[v] - half - 1, -rv[v] + 1)
         else:
             raise ctx.unreachable(k, "V", v)
     return out
@@ -312,10 +316,10 @@ def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
 # class VI: leaf + adjacent outside pair (exactly two edges)
 
 def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
-    rv, dl = ctx.sched.rv, ctx.sched.delta
+    rv = ctx.rv
     k = pick.k
-    r = ctx.sched.r
-    half = r / 2 - dl * (k + 1)
+    r = ctx.r
+    half = r // 2 - (k + 1)
     w0, v1, v2, w = (pick.roles[r_] for r_ in ("w0", "v1", "v2", "w"))
     star = ctx.pn.n2[w0]  # = the whole leaf set of w's star
     v1_side = ctx.pn.related(v1) - {v1}
@@ -326,59 +330,59 @@ def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
     out: dict[int, Vec] = {}
     for v in range(ctx.g.n):
         if v == w0:
-            out[v] = (rv[w0] - dl, rv[w0] + half)
+            out[v] = (rv[w0] - 1, rv[w0] + half)
         elif v == v1:
             if subcase_b:
                 out[v] = (-rv[v1], -half)
             else:
-                out[v] = (-rv[v1], rv[v1] - half - dl)
+                out[v] = (-rv[v1], rv[v1] - half - 1)
         elif v == v2:
             if subcase_b:
-                out[v] = (-rv[v2] + dl, -rv[v2] - half)
+                out[v] = (-rv[v2] + 1, -rv[v2] - half)
             else:
-                out[v] = (rv[v2] - dl, -rv[v2] - half)
+                out[v] = (rv[v2] - 1, -rv[v2] - half)
         elif v == w:
             # the star center, always picked before this block
             if not ctx.before(v, k):
                 raise ctx.unreachable(k, "VI", v, reason="center picked late")
             if subcase_b:
-                out[v] = (rv[v] - dl, half)
+                out[v] = (rv[v] - 1, half)
             else:
-                out[v] = (r - 2 * dl * (k + 1), half)
+                out[v] = (r - 2 * (k + 1), half)
         elif v in star:
             if subcase_b:
                 if ctx.before(v, k):
-                    out[v] = (rv[v] - dl, -rv[v] + half)
+                    out[v] = (rv[v] - 1, -rv[v] + half)
                 elif ctx.edge(v, v2):
-                    out[v] = (rv[v] - dl, half)
+                    out[v] = (rv[v] - 1, half)
                 else:
                     out[v] = (rv[v], half)
             else:
                 if ctx.before(v, k):
-                    out[v] = (-rv[v] + r - 2 * dl * (k + 1), -rv[v] + half)
+                    out[v] = (-rv[v] + r - 2 * (k + 1), -rv[v] + half)
                 elif ctx.edge(v, v1):
-                    out[v] = (rv[v] - dl, half)
+                    out[v] = (rv[v] - 1, half)
                 else:
                     out[v] = (rv[v], half)
         elif v in v1_side or (subcase_b and v in v2_side):
             if subcase_b:
-                out[v] = (Fraction(0), -half)
+                out[v] = (0, -half)
             else:
-                out[v] = (Fraction(0), Fraction(0))
+                out[v] = (0, 0)
         elif v in v2_side:
             # subcase a only: v2's own component
             if ctx.before(v, k) or ctx.edge(v, v1):
-                out[v] = (rv[v] - dl, -half)
+                out[v] = (rv[v] - 1, -half)
             else:
                 out[v] = (rv[v], -half)
         elif v not in reach:
             if subcase_b:
-                out[v] = (rv[v] - dl, Fraction(0)) if ctx.before(v, k) else (rv[v], Fraction(0))
+                out[v] = (rv[v] - 1, 0) if ctx.before(v, k) else (rv[v], 0)
             else:
                 if ctx.before(v, k) or ctx.edge(v, v1):
-                    out[v] = (rv[v] - dl, Fraction(0))
+                    out[v] = (rv[v] - 1, 0)
                 else:
-                    out[v] = (rv[v], Fraction(0))
+                    out[v] = (rv[v], 0)
         else:
             raise ctx.unreachable(k, "VI", v)
     return out
@@ -388,10 +392,10 @@ def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
 # class VII: triple with exactly one edge
 
 def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
-    rv, dl = ctx.sched.rv, ctx.sched.delta
+    rv = ctx.rv
     k = pick.k
-    base = -ctx.sched.r + 2 * dl * (k + 1)
-    mhalf = -ctx.sched.r / 2 + dl * (k + 1)
+    base = -ctx.r + 2 * (k + 1)
+    mhalf = -ctx.r // 2 + (k + 1)
     p, q, s = (pick.roles[r_] for r_ in ("p", "q", "s"))
     close = p in ctx.pn.related(q)  # p,q share a factor component
 
@@ -410,16 +414,16 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
         if ctx.before(v, k):
             if v in s_second and ctx.is_leaf(v):
                 if close:
-                    return (base + rv[s] - dl, -rv[s])
+                    return (base + rv[s] - 1, -rv[s])
                 return (-rv[s], -rv[s])
-            return (Fraction(0), Fraction(0))
+            return (0, 0)
         ep, eq = ctx.edge(v, p), ctx.edge(v, q)
         if ep and eq:
-            return (Fraction(0), Fraction(0))
+            return (0, 0)
         if not ep and eq:
-            return (base + rv[s], Fraction(0))
+            return (base + rv[s], 0)
         if ep and not eq:
-            return (Fraction(0), base + rv[s])
+            return (0, base + rv[s])
         return (base + rv[s], base + rv[s])
 
     def outsider(v: int) -> Vec:
@@ -444,12 +448,12 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
             if close:
                 out[v] = (base - rv[p], base)
             else:
-                out[v] = (base - rv[p], base + rv[p] - dl)
+                out[v] = (base - rv[p], base + rv[p] - 1)
         elif v == q:
             if close:
-                out[v] = (base - dl, base - rv[q])
+                out[v] = (base - 1, base - rv[q])
             else:
-                out[v] = (base + rv[q] - dl, base - rv[q])
+                out[v] = (base + rv[q] - 1, base - rv[q])
         elif v == s:
             out[v] = (rv[s], rv[s])
         elif close and v == tk:
@@ -464,13 +468,13 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
                 if v in p_second and ctx.is_leaf(v):
                     out[v] = (base + rv[p], mhalf)
                 else:
-                    out[v] = (base, Fraction(0))
+                    out[v] = (base, 0)
             else:
                 eq, es = ctx.edge(v, q), ctx.edge(v, s)
                 if eq and es:
-                    out[v] = (base, Fraction(0))
+                    out[v] = (base, 0)
                 elif eq and not es:
-                    out[v] = (-rv[p], Fraction(0))
+                    out[v] = (-rv[p], 0)
                 elif not eq and es:
                     out[v] = (base, base + rv[p])
                 else:
@@ -480,13 +484,13 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
                 if v in q_second and ctx.is_leaf(v):
                     out[v] = (mhalf, base + rv[q])
                 else:
-                    out[v] = (Fraction(0), base)
+                    out[v] = (0, base)
             else:
                 ep, es = ctx.edge(v, p), ctx.edge(v, s)
                 if ep and es:
-                    out[v] = (Fraction(0), base)
+                    out[v] = (0, base)
                 elif ep and not es:
-                    out[v] = (Fraction(0), -rv[q])
+                    out[v] = (0, -rv[q])
                 elif not ep and es:
                     out[v] = (base + rv[q], base)
                 else:
@@ -513,40 +517,40 @@ def _super_roles(ctx: _Ctx, pick: PickedSet) -> tuple[int, int, int]:
 
 
 def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
-    rv, dl = ctx.sched.rv, ctx.sched.delta
+    rv = ctx.rv
     k = pick.k
-    base = -ctx.sched.r + 2 * dl * (k + 1)
-    mhalf = -ctx.sched.r / 2 + dl * (k + 1)
+    base = -ctx.r + 2 * (k + 1)
+    mhalf = -ctx.r // 2 + (k + 1)
     a, b, c = _super_roles(ctx, pick)
     reach = ctx.pn.reach(pick.vertices)
 
     out: dict[int, Vec] = {}
     out[a] = (base - rv[a], rv[a])
-    out[b] = (dl + rv[b], dl + rv[b])
+    out[b] = (1 + rv[b], 1 + rv[b])
     out[c] = (rv[c], base - rv[c])
 
     def near_a(v: int) -> Vec:
         if ctx.before(v, k):
-            return (base, Fraction(0))
+            return (base, 0)
         eb, ec = ctx.edge(v, b), ctx.edge(v, c)
         if not eb and not ec:
-            return (-rv[a], Fraction(0))
+            return (-rv[a], 0)
         if eb and ec:
-            return (base, Fraction(0))
+            return (base, 0)
         if not eb and ec:
-            return (-rv[a] + dl, Fraction(0))
+            return (-rv[a] + 1, 0)
         return (base, base + rv[a])
 
     def near_b(v: int, guard_central: bool) -> Vec:
         if ctx.before(v, k):
-            return (dl, dl)
+            return (1, 1)
         ea, ec = ctx.edge(v, a), ctx.edge(v, c)
         if ea and ec:
-            return (dl, dl)
+            return (1, 1)
         if ea and not ec:
-            return (dl, base + rv[b])
+            return (1, base + rv[b])
         if not ea and ec:
-            return (base + rv[b], dl)
+            return (base + rv[b], 1)
         if guard_central and v in ctx.f.stars:
             # This case is proven impossible: a star center adjacent to
             # neither a nor c would have joined the pick earlier.
@@ -555,14 +559,14 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
 
     def near_c(v: int) -> Vec:
         if ctx.before(v, k):
-            return (Fraction(0), base)
+            return (0, base)
         ea, eb = ctx.edge(v, a), ctx.edge(v, b)
         if not ea and not eb:
-            return (Fraction(0), -rv[c])
+            return (0, -rv[c])
         if ea and eb:
-            return (Fraction(0), base)
+            return (0, base)
         if ea and not eb:
-            return (Fraction(0), -rv[c] + dl)
+            return (0, -rv[c] + 1)
         return (base + rv[c], base)
 
     for v in sorted(ctx.pn.n1[a] - {a, b, c}):
@@ -587,22 +591,22 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
             else:
                 out[v] = (base + rv[a], mhalf)
         elif ctx.before(v, k):
-            out[v] = (base, Fraction(0))
+            out[v] = (base, 0)
         else:
             out[v] = near_a(v)
     for v in sorted(ctx.pn.n2[b] - {b} - set(out)):
         if ctx.before(v, k) and ctx.is_leaf(v):
             nb_val = out[linking_neighbor(b)]
-            if nb_val == (dl, dl):
-                out[v] = (dl - rv[b], dl - rv[b])
-            elif nb_val == (dl, base + rv[b]):
-                out[v] = (dl - rv[b], base)
-            elif nb_val == (base + rv[b], dl):
-                out[v] = (base, dl - rv[b])
+            if nb_val == (1, 1):
+                out[v] = (1 - rv[b], 1 - rv[b])
+            elif nb_val == (1, base + rv[b]):
+                out[v] = (1 - rv[b], base)
+            elif nb_val == (base + rv[b], 1):
+                out[v] = (base, 1 - rv[b])
             else:
                 raise ctx.unreachable(k, "VIII.second-b", v, link_value=nb_val)
         elif ctx.before(v, k):
-            out[v] = (dl, dl)
+            out[v] = (1, 1)
         else:
             out[v] = near_b(v, guard_central=False)
     for v in sorted(ctx.pn.n2[c] - {c} - set(out)):
@@ -613,7 +617,7 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
             else:
                 out[v] = (mhalf, base + rv[c])
         elif ctx.before(v, k):
-            out[v] = (Fraction(0), base)
+            out[v] = (0, base)
         else:
             out[v] = near_c(v)
 
@@ -623,25 +627,25 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
         if v in reach:
             raise ctx.unreachable(k, "VIII", v)
         if ctx.before(v, k):
-            out[v] = (-rv[v] / 2, -rv[v] / 2)
+            out[v] = (-rv[v] // 2, -rv[v] // 2)
             continue
         ea, eb, ec = ctx.edge(v, a), ctx.edge(v, b), ctx.edge(v, c)
         if not ea and not eb and not ec:
             out[v] = (-rv[v], -rv[v])
         elif ea and not eb and not ec:
-            out[v] = (-rv[v], -rv[v] + dl)
+            out[v] = (-rv[v], -rv[v] + 1)
         elif not ea and eb and not ec:
             out[v] = (base + rv[v], base + rv[v])
         elif not ea and not eb and ec:
-            out[v] = (-rv[v] + dl, -rv[v])
+            out[v] = (-rv[v] + 1, -rv[v])
         elif ea and eb and not ec:
-            out[v] = (-rv[v] + 2 * dl, base + rv[v])
+            out[v] = (-rv[v] + 2, base + rv[v])
         elif ea and not eb and ec:
-            out[v] = (-rv[v] + dl, -rv[v] + dl)
+            out[v] = (-rv[v] + 1, -rv[v] + 1)
         elif not ea and eb and ec:
-            out[v] = (base + rv[v], -rv[v] + 2 * dl)
+            out[v] = (base + rv[v], -rv[v] + 2)
         else:
-            out[v] = (-rv[v] + 2 * dl, -rv[v] + 2 * dl)
+            out[v] = (-rv[v] + 2, -rv[v] + 2)
     return out
 
 
@@ -657,21 +661,17 @@ _BUILDERS = {
 }
 
 
-def assign_block(k: int, g: Graph, f: StarTriangleFactor, picks: PickSequence,
-                 pn: PseudoNeighborhood, sched: RadiusSchedule,
-                 first_dim: int) -> DimensionBlock:
-    pick = picks.picks[k]
-    ctx = _Ctx(g, f, picks, pn, sched)
+def assign_block(ctx: _Ctx, k: int, first_dim: int) -> tuple[DimensionBlock, dict[int, Vec]]:
+    """Block k and its columns: each vertex's coordinates there, in delta units."""
+    pick = ctx.picks.picks[k]
     values = _BUILDERS[pick.cls](ctx, pick)
     width = block_width(pick.cls, len(pick.vertices))
-    for v, vec in values.items():
-        assert len(vec) == width, f"block {k}: vertex {v} got {len(vec)} dims"
-    if set(values) != set(range(g.n)):
-        missing = sorted(set(range(g.n)) - set(values))
-        raise PipelineError("embedder", f"block {k} left vertices {missing} unassigned",
-                            k=k, vertices=missing)
+    missing = [v for v in range(ctx.g.n) if len(values.get(v, ())) != width]
+    if missing:
+        raise PipelineError("embedder", f"block {k} left vertices {missing} without "
+                            f"a {width}-dimensional value", k=k, vertices=missing)
     dims = tuple(range(first_dim, first_dim + width))
-    return DimensionBlock(k, pick.cls, pick.step, dims, values)
+    return DimensionBlock(k, pick.cls, pick.step, dims), values
 
 
 def check_accounting(g: Graph, picks: PickSequence) -> None:
@@ -708,20 +708,21 @@ def embed(g: Graph, r: Fraction | None = None) -> Embedding:
     sched = radius_schedule(pn, picks, r if r is not None else default_radius(g.n))
     validate_schedule(f, pn, picks, sched)
 
+    ctx = _Ctx(g, f, picks, pn, sched)
     blocks: list[DimensionBlock] = []
-    first = 0
+    rows: list[list[int]] = [[] for _ in range(g.n)]
     for k in range(picks.count):
-        block = assign_block(k, g, f, picks, pn, sched, first)
+        block, values = assign_block(ctx, k, len(rows[0]))
         blocks.append(block)
-        first += len(block.dims)
+        for v, row in enumerate(rows):
+            row.extend(values[v])
 
-    d = first
+    d = len(rows[0])
     general, refined = dimension_bound(g.n)
     limit = general if refined is None else min(general, refined)
     if d > limit:
         raise PipelineError("embedder", f"dimension {d} exceeds bound {limit}",
                             d=d, bound=limit)
-    coords = tuple(
-        tuple(x for b in blocks for x in b.values[v]) for v in range(g.n)
-    )
-    return Embedding(g, f, picks, pn, sched, tuple(blocks), coords, d)
+    num, den = sched.delta.numerator, sched.delta.denominator
+    grid = tuple(tuple(x * num for x in row) for row in rows)
+    return Embedding(g, f, picks, pn, sched, tuple(blocks), PointSet(d, grid, den))

@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import PipelineError
 from .graphs import Edge, Graph, norm_edge
 
 
@@ -36,8 +37,8 @@ class Matching:
     def validate(self, g: Graph) -> None:
         seen: set[int] = set()
         for u, v in self.edges:
-            assert g.has_edge(u, v), f"matching edge {u}{v} not in graph"
-            assert u not in seen and v not in seen, f"vertex reused by {u}{v}"
+            if not g.has_edge(u, v) or u in seen or v in seen:
+                raise PipelineError("matching", f"edge {u}{v} not in graph or reuses a vertex")
             seen.update((u, v))
 
 

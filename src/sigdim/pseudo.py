@@ -12,8 +12,8 @@ distinct from graph adjacency:
 N2(v) collects pseudo-neighbors of pseudo-neighbors and always contains v.
 A vertex with N2(v) = {v} is called central.  The schedule assigns
 r(v) = r - 2*delta*m(v), where m(v) is the first pick index whose group meets
-N(v) union N2(v), and delta = r/(6n).  The default r = 12n makes delta = 2
-and every coordinate produced downstream an integer.
+N(v) union N2(v), and delta = r/(6n): in delta units, which the block tables
+use, r(v) = 6n - 2m(v).  The default r = 12n gives delta = 2, integer coordinates.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def build_pseudo(f: StarTriangleFactor, picks: PickSequence) -> PseudoNeighborho
                             vertices=missing)
     n2 = {v: frozenset(w for u in n1[v] for w in n1[u]) for v in n1}
     for v, s in n2.items():
-        assert v in s, f"vertex {v} missing from its own second neighborhood"
+        if v not in s:
+            raise PipelineError("schedule", f"vertex {v} not in its own N2", vertex=v)
     return PseudoNeighborhood({v: frozenset(s) for v, s in n1.items()}, n2)
 
 

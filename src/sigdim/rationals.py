@@ -1,8 +1,8 @@
-"""Exact-rational helpers: JSON encoding and small integer utilities.
+"""Exact-rational helpers: JSON encoding, the integer grid, small utilities.
 
-All geometry in this package is done with ``fractions.Fraction``; nothing is
-ever rounded.  JSON carries rationals as plain ints when the denominator is 1
-and as ``"p/q"`` strings otherwise.
+Nothing is ever rounded.  Coordinates live on one integer grid (``sig.PointSet``);
+``Fraction`` carries radii, reported values and JSON input.  JSON writes a
+rational as a plain int when the denominator is 1, else as a ``"p/q"`` string.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ def rat_to_json(x: Fraction) -> int | str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rat_from_json(value: int | str) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+def rat_from_json(value: int | str) -> int | Fraction:
+    """A JSON rational: ints pass through as they are, "p/q" strings parse."""
+    if type(value) is int:
+        return value
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -25,34 +25,31 @@ Point = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class PointSet:
+    """Point i is ``grid[i] / scale``; scale is a common denominator, not always the least."""
+
     d: int
-    points: tuple[Point, ...]
+    grid: tuple[tuple[int, ...], ...]
+    scale: int
 
     @staticmethod
     def from_rows(rows) -> PointSet:
-        pts = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows)
-        if len(pts) < 2:
+        """Rows of ints or Fractions onto the grid of their common denominator."""
+        if len(rows) < 2:
             raise ValueError("need at least two points")
-        widths = {len(p) for p in pts}
+        widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise ValueError(f"ragged point set, widths {sorted(widths)}")
-        return PointSet(widths.pop(), pts)
+        scale = common_scale(x for r in rows for x in r)
+        return PointSet(widths.pop(), tuple(tuple(to_grid(r, scale)) for r in rows), scale)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The points as exact rationals, derived from the grid."""
+        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.grid)
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "coords": [[rat_to_json(x) for x in p] for p in self.points],
-        }
-
-    @cached_property
-    def scale(self) -> int:
-        """One common denominator: every comparison becomes integer arithmetic."""
-        return common_scale(x for p in self.points for x in p)
-
-    @cached_property
-    def grid(self) -> tuple[tuple[int, ...], ...]:
-        """The points as exact integers in units of 1/scale."""
-        return tuple(tuple(to_grid(p, self.scale)) for p in self.points)
+        rows = self.grid if self.scale == 1 else self.points
+        return {"d": self.d, "coords": [[rat_to_json(x) for x in p] for p in rows]}
 
     @cached_property
     def distances(self) -> list[list[int]]:

@@ -18,12 +18,12 @@ but the direct recomputation is the authoritative criterion.  The verifier
 never consults the embedder's case decisions, only the coordinate matrix,
 the graph, and the pipeline trace (picks, factor, schedule).
 
-Coordinates and scheduled radii share one integer grid.  Each pairwise
-sup-distance rho is computed once, in the point set's distance table, which
-both the SIG and the radii read.  A block's distance never exceeds rho, so
-rho(u,nu) <= r(u), or rho(u,v) < r(u) + r(v) on an edge, clears that pair of
-(1) or (5) in every block; only the other pairs are re-evaluated, block by
-block, so the failure list is the one a full per-block scan gives.
+Radii join the coordinates on the point set's integer grid (a radius off it,
+from outside input, makes both finer).  Each sup-distance rho is computed once,
+in the point set's distance table, which the SIG and the radii both read.  A
+block's distance never exceeds rho, so rho(u,nu) <= r(u), or rho(u,v) < r(u) +
+r(v) on an edge, clears that pair of (1) or (5) in every block; only the other
+pairs are re-evaluated, block by block, as a full per-block scan orders them.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import Any
 
 from .embedding import Embedding, dimension_bound
 from .graphs import Graph
-from .rationals import common_scale, rat_to_json, to_grid
-from .sig import PointSet, compute_radii, compute_sig
+from .rationals import rat_to_json, to_grid
+from .sig import compute_radii, compute_sig
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,9 @@ class VerificationReport:
 class _Grid:
     """What the suite reads for every block, on one integer scale, built once."""
 
-    def __init__(self, g: Graph, emb: Embedding, points: PointSet):
-        rv = emb.schedule.rv
-        self.scale = lcm(points.scale, common_scale(rv.values()))
+    def __init__(self, g: Graph, emb: Embedding):
+        points, rv = emb.points, emb.schedule.rv
+        self.scale = lcm(points.scale, *(x.denominator for x in rv.values()))
         up = self.scale // points.scale
         grid, table = points.grid, points.distances
         if up != 1:  # scheduled radii off the coordinate grid
@@ -108,7 +108,7 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
                        grid: _Grid | None = None) -> list[InequalityFailure]:
     """Evaluate families (1)-(5) for block k; returns one entry per violation."""
     if grid is None:
-        grid = _Grid(g, emb, PointSet.from_rows(emb.coords))
+        grid = _Grid(g, emb)
     cols = [grid.cols[j] for j in emb.blocks[k].dims]
     if not cols:
         raise ValueError(f"block {k} has no dimensions")
@@ -153,15 +153,12 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
 def verify(g: Graph, emb: Embedding) -> VerificationReport:
     if emb.graph.n != g.n:
         raise ValueError(f"embedding is for n={emb.graph.n}, graph has n={g.n}")
-    if any(len(row) != emb.d for row in emb.coords):
-        raise ValueError("coordinate matrix width disagrees with d")
 
     diagnostics: dict[str, Any] = {}
 
     try:
-        points = PointSet.from_rows(emb.coords)
-        realized = compute_sig(points)
-        radii = compute_radii(points)
+        realized = compute_sig(emb.points)
+        radii = compute_radii(emb.points)
     except ValueError as exc:
         diagnostics["degenerate"] = str(exc)
         return VerificationReport(False, False, False, [], diagnostics)
@@ -185,7 +182,7 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
     if not bound_ok:
         diagnostics["dimension"] = {"d": emb.d, "general": general, "refined": refined}
 
-    grid = _Grid(g, emb, points)
+    grid = _Grid(g, emb)
     failures: list[InequalityFailure] = []
     for k in range(emb.picks.count):
         failures.extend(check_inequalities(g, emb, k, grid))

@@ -181,3 +181,73 @@ def test_pipeline_error_json_encodes_fractions():
 
     exc = PipelineError("schedule", "bad radius", r=Fraction(7, 3), rv=[Fraction(4)])
     assert exc.to_json()["details"] == {"r": "7/3", "rv": [4]}
+
+
+def one_line_error(code, stdout, stderr):
+    # Malformed input: exit code 1, one "error:" line, no traceback.
+    return code == 1 and stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["embed", "GRAPH"], ["exhaustive", "--max-n", "3"],
+                                     ["fuzz", "--n-min", "4", "--n-max", "4", "--p", "1/2",
+                                      "--seed", "1", "--count", "1"]])
+@pytest.mark.parametrize("radius", ["0", "-3", "abc", "1/0"])
+def test_bad_radius_rejected(capsys, k2_file, command, radius):
+    argv = [k2_file if a == "GRAPH" else a for a in command]
+    assert one_line_error(*run(capsys, *argv, "--r", radius))
+
+
+@pytest.mark.parametrize("command", ["sig", "verify"])
+def test_zero_denominator_rejected(tmp_path, capsys, k2_file, command):
+    out = tmp_path / "k2.json"
+    run(capsys, "embed", k2_file, "-o", out)
+    data = json.loads(out.read_text())
+    data["coords"][0][0] = "1/0"
+    out.write_text(json.dumps(data))
+    argv = ["sig", out] if command == "sig" else ["verify", k2_file, out]
+    assert one_line_error(*run(capsys, *argv))
+
+
+def _short(key):
+    def mutate(data):
+        data["trace"][key].pop()
+    return mutate
+
+
+def _set_dim(data):
+    data["blocks"][-1]["dims"][-1] = data["d"]
+
+
+def _wrong_d(data):
+    data["d"] += 1
+
+
+def _ragged(data):
+    data["coords"][2].pop()
+
+
+def _unknown_pick(data):
+    data["trace"]["picks"][0]["vertices"][0] = 99
+
+
+def _missing_row(data):
+    data["coords"].pop()
+
+
+def _empty_dims(data):
+    data["blocks"][0]["dims"] = []
+
+
+@pytest.mark.parametrize("mutate", [_short("rv"), _short("m"), _set_dim, _wrong_d,
+                                    _ragged, _unknown_pick, _missing_row, _empty_dims],
+                         ids=["short-rv", "short-m", "dims-range", "wrong-d", "ragged",
+                              "unknown-pick", "missing-row", "empty-dims"])
+def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
+    graph = tmp_path / "k13.txt"
+    graph.write_text(K13)
+    out = tmp_path / "k13.json"
+    assert run(capsys, "embed", graph, "-o", out)[0] == 0
+    data = json.loads(out.read_text())
+    mutate(data)
+    out.write_text(json.dumps(data))
+    assert one_line_error(*run(capsys, "verify", graph, out))

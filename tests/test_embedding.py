@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 from math import ceil, floor
 
 import pytest
 
-from sigdim import dimension_bound, embed, parse_graph, verify
+from sigdim import dimension_bound, embed, generate_random, parse_graph, verify
 from sigdim.embedding import check_accounting
 from sigdim.picking import PickClass
 from conftest import C3, C5, CLASS_V, CLASS_VI_1, CLASS_VI_2, K13, K2, P3, TWO_K2
@@ -14,7 +16,7 @@ from conftest import C3, C5, CLASS_V, CLASS_VI_1, CLASS_VI_2, K13, K2, P3, TWO_K
 def coords_of(text, r=None):
     g = parse_graph(text)
     emb = embed(g, r)
-    return emb, [[int(x) for x in row] for row in emb.coords]
+    return emb, [[int(x) for x in row] for row in emb.points.points]
 
 
 def test_k2_golden():
@@ -45,6 +47,32 @@ def test_p3_golden():
     emb, coords = coords_of(P3)
     assert emb.d == 3
     assert coords == [[0, -36, 36], [-36, 0, 0], [0, 36, -36]]
+
+
+# sha256 of the compact embedding JSON, key order as written: coordinates,
+# schedule and trace must stay byte-identical whatever the internal arithmetic.
+FULL_GOLDENS = [
+    ("CLASS_V", None, "c402e9b66340611df06265a9b780b7c4e78f95c57027ee98090c085df2452469"),
+    ("CLASS_V", Fraction(7, 3), "09a1c9450d1b28a2cc60516141f8ff386db72b8f4984aa032c65b32eaf3cafd8"),
+    ("CLASS_VI_1", None, "fb5ee0d9dac9b95b9d5308451fdce10bf0d0cd371cc8cc1f5fc6369f8268aabf"),
+    ("CLASS_VI_1", Fraction(7, 3), "37f32f0b29d977e8ad2c354f6deb57a24ee230b0fc0a3afad905265ca417951e"),
+    ("C5", None, "04597103c9f67553f50fa8ef3a1e702453baf9e2071c49c48711c0bf73d81dcf"),
+    ("C5", Fraction(7, 3), "9bde9e35be9717dcc390256a9996b2bebf482f2b067a8459f00df2230644005b"),
+    ("G30", None, "8521e8b91c28ea93818dfd9b6a03faca149ab2b6fb8b94972d50378221532015"),
+    ("G30", Fraction(7, 3), "ed06efb45f7f1efc8fdf4c945e8b9f569e61f341169efaf708a43cf3e2525000"),
+]
+GOLDEN_GRAPHS = {
+    "CLASS_V": lambda: parse_graph(CLASS_V),
+    "CLASS_VI_1": lambda: parse_graph(CLASS_VI_1),
+    "C5": lambda: parse_graph(C5),
+    "G30": lambda: generate_random(30, 0.5, 7),
+}
+
+
+@pytest.mark.parametrize("name,r,digest", FULL_GOLDENS)
+def test_full_embedding_golden(name, r, digest):
+    text = json.dumps(embed(GOLDEN_GRAPHS[name](), r).to_json(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n,expected", [(3, (4, None)), (4, (4, 4)), (10, (8, 8))])
@@ -97,7 +125,7 @@ def test_bound_holds_on_corpus(corpus5):
 def test_default_radius_gives_integer_coords(corpus5):
     for g in corpus5[:200]:
         emb = embed(g)
-        assert all(x.denominator == 1 for row in emb.coords for x in row)
+        assert all(x.denominator == 1 for row in emb.points.points for x in row)
 
 
 def test_rational_radius_override():

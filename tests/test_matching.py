@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from sigdim import brute_force_matching, generate_random, maximum_matching, parse_graph
+from sigdim import (Matching, PipelineError, brute_force_matching, generate_random,
+                    maximum_matching, parse_graph)
 from conftest import C5, K2
 
 
@@ -68,3 +69,9 @@ def test_random_graphs_against_oracle():
     for seed in range(40):
         g = generate_random(8 + seed % 4, 0.35, seed)
         assert maximum_matching(g).size() == brute_force_matching(g)
+
+
+@pytest.mark.parametrize("edges", [{(0, 2)}, {(0, 1), (1, 2)}])
+def test_validate_raises_pipeline_error(edges):
+    with pytest.raises(PipelineError, match="not in graph or reuses a vertex"):
+        Matching(frozenset(edges)).validate(parse_graph("3 2\n0 1\n1 2\n"))

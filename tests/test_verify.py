@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sigdim.sig
-from sigdim import check_inequalities, embed, generate_random, parse_graph, verify
+from sigdim import PointSet, check_inequalities, embed, generate_random, parse_graph, verify
 from conftest import C3, K13, K2
 
 
@@ -26,15 +26,9 @@ def test_c3_passes():
 
 
 def perturb(emb, vertex, dim, amount):
-    coords = [list(row) for row in emb.coords]
-    coords[vertex][dim] += amount
-    new_coords = tuple(tuple(row) for row in coords)
-    blocks = tuple(
-        replace(b, values={v: tuple(new_coords[v][j] for j in b.dims)
-                           for v in range(len(coords))})
-        for b in emb.blocks
-    )
-    return replace(emb, coords=new_coords, blocks=blocks)
+    rows = [list(row) for row in emb.points.points]
+    rows[vertex][dim] += amount
+    return replace(emb, points=PointSet.from_rows(rows))
 
 
 def test_perturbation_caught():
@@ -73,8 +67,8 @@ def test_residual_boundary_instance():
     g = parse_graph(K13)
     emb = embed(g)
     assert not check_inequalities(g, emb, 1)
-    c1, c2 = emb.blocks[1].values[1], emb.blocks[1].values[2]
-    dist = max(abs(a - b) for a, b in zip(c1, c2))
+    c1, c2 = emb.points.points[1], emb.points.points[2]
+    dist = max(abs(c1[j] - c2[j]) for j in emb.blocks[1].dims)
     assert dist == 96 == emb.schedule.rv[1] + emb.schedule.rv[2]
 
 
@@ -154,7 +148,7 @@ def _reference_sig_and_radii(coords):
 
 
 def _reference_block(g, emb, k) -> list[dict]:
-    coords, rv, dims = emb.coords, emb.schedule.rv, emb.blocks[k].dims
+    coords, rv, dims = emb.points.points, emb.schedule.rv, emb.blocks[k].dims
     index = emb.picks.index_of()
     center = emb.factor.leaf_center
     fails = []
@@ -192,7 +186,7 @@ def _reference_block(g, emb, k) -> list[dict]:
 def reference_report(g, emb) -> dict:
     diagnostics = {}
     try:
-        edges, radii = _reference_sig_and_radii(emb.coords)
+        edges, radii = _reference_sig_and_radii(emb.points.points)
     except ValueError as exc:
         diagnostics["degenerate"] = str(exc)
         return {"verdict": "fail", "sig_equal": False, "radius_agree": False,
@@ -239,8 +233,9 @@ def boundary_move(emb, g, which, dim, sign):
     """Put an edge exactly on the family-(5) boundary along one coordinate."""
     u, v = sorted(g.edges)[which % len(g.edges)]
     rv = emb.schedule.rv
-    target = emb.coords[v][dim] + sign * (rv[u] + rv[v])
-    return perturb(emb, u, dim, target - emb.coords[u][dim])
+    coords = emb.points.points
+    target = coords[v][dim] + sign * (rv[u] + rv[v])
+    return perturb(emb, u, dim, target - coords[u][dim])
 
 
 coordinate_moves = st.lists(st.tuples(st.integers(0, 24), st.integers(0, 40),
@@ -273,9 +268,9 @@ def test_verify_matches_reference_off_grid_radius():
 def test_verify_matches_reference_on_duplicates():
     g = generate_random(10, 0.5, 3)
     emb = embed(g)
-    coords = list(emb.coords)
+    coords = list(emb.points.points)
     coords[7] = coords[2]
-    assert_same_report(g, replace(emb, coords=tuple(coords)))
+    assert_same_report(g, replace(emb, points=PointSet.from_rows(coords)))
 
 
 def test_each_pair_distance_computed_once(monkeypatch):
