@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .embedding import DimensionBlock, Embedding, dimension_bound, embed
+from .embedding import Embedding, dimension_bound, embed
 from .errors import GraphInputError, PipelineError
 from .factor import StarTriangleFactor
 from .graphs import Graph, generate_exhaustive, parse_graph, sample_gnp
@@ -89,32 +89,28 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
         triangles=frozenset(tuple(t) for t in fd["triangles"]),
         residual=Matching(frozenset(tuple(e) for e in fd["matching"])),
     )
-    picks = PickSequence(
-        tuple(
-            PickedSet(p["k"], tuple(p["vertices"]), PickClass(p["class"]),
-                      p["step"], dict(p["roles"]))
-            for p in trace["picks"]
-        ),
-        factor,
-    )
+    picks = PickSequence(tuple(
+        PickedSet(p["k"], tuple(p["vertices"]), PickClass(p["class"]),
+                  p["step"], dict(p["roles"]))
+        for p in trace["picks"]
+    ))
     pn = build_pseudo(factor, picks)
     picked = sorted(v for p in picks.picks for v in p.vertices)
-    if picked != list(range(g.n)) or set(pn.n1) != set(range(g.n)):
-        raise ValueError("trace.picks must partition the vertices and trace.factor cover them")
-    blocks = tuple(
-        DimensionBlock(b["k"], PickClass(b["class"]), b["step"], tuple(b["dims"]))
-        for b in data["blocks"]
-    )
-    ks = list(range(picks.count))
-    if [p.k for p in picks.picks] != ks or [b.k for b in blocks] != ks:
-        raise ValueError("picks and blocks must be numbered 0, 1, ... in order")
-    if data["d"] != points.d or any(not b.dims or min(b.dims) < 0 or max(b.dims) >= points.d
-                                    for b in blocks):
-        raise ValueError(f"d and every block's dims must fit the coordinate width {points.d}")
+    if (picked != list(range(g.n)) or set(pn.n1) != set(range(g.n))
+            or not all(p.vertices for p in picks.picks)):
+        raise ValueError("trace.picks must partition the vertices into non-empty sets "
+                         "and trace.factor cover them")
+    if [p.k for p in picks.picks] != list(range(picks.count)):
+        raise ValueError("picks must be numbered 0, 1, ... in order")
     sched = RadiusSchedule(rat_from_json(data["r"]), rat_from_json(data["delta"]),
                            dict(enumerate(trace["m"])),
                            {v: rat_from_json(x) for v, x in enumerate(trace["rv"])})
-    return Embedding(g, factor, picks, pn, sched, blocks, points)
+    emb = Embedding(g, factor, picks, pn, sched, points)
+    if data["blocks"] != emb.blocks_json():
+        raise ValueError("blocks must follow from trace.picks, in pick order")
+    if not data["d"] == points.d == sum(len(b["dims"]) for b in data["blocks"]):
+        raise ValueError(f"d and the block widths must sum to the coordinate width {points.d}")
+    return emb
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
@@ -220,7 +216,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if not 2 <= args.n_min <= args.n_max:
         print("error: need 2 <= n-min <= n-max", file=sys.stderr)
         return EXIT_INPUT
-    p = parse_rational(args.p)
     outdir = Path(args.bundle_dir)
     passed = 0
     failures = []
@@ -229,7 +224,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         seed = args.seed + i
         span = args.n_max - args.n_min + 1
         n = args.n_min + seed % span
-        g, repairs = sample_gnp(n, p, seed)
+        g, repairs = sample_gnp(n, args.p, seed)
         d, failure = _run_instance(g, args.r)
         if failure is None:
             passed += 1
@@ -243,7 +238,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             "shrunk_graph": small.serialize(),
             "seed": seed,
             "n": n,
-            "p": str(p),
+            "p": str(args.p),
             "repaired_edges": [list(e) for e in repairs],
             "r": None if args.r is None else str(args.r),
             "failure": failure,
@@ -346,15 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "r", None) is not None:
-        try:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a rejected command line is an input error
+        return EXIT_INPUT if exc.code else EXIT_OK
+    try:
+        if getattr(args, "r", None) is not None:
             args.r = parse_rational(args.r)
             if args.r <= 0:
                 raise ValueError(f"radius must be positive, got {args.r}")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        if getattr(args, "p", None) is not None:
+            args.p = parse_rational(args.p)
+            if not 0 <= args.p <= 1:
+                raise ValueError(f"edge probability must lie in [0, 1], got {args.p}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return args.func(args)
 
 

@@ -7,6 +7,9 @@ Every picked group P_k contributes one block of dimensions:
   class III  one dimension,
   class IV-VIII  two dimensions.
 
+Blocks follow each other in pick order, so the pick sequence alone fixes the
+layout: ``block_dims`` derives it, and nothing else stores it.
+
 Within a block, *all* vertices of the graph receive coordinates from a case
 table keyed on pseudo-neighborhood membership, pick order relative to k, and
 adjacency to the group's members.  The tables are transcribed verbatim; a
@@ -37,26 +40,21 @@ Vec = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class DimensionBlock:
-    k: int
-    cls: PickClass
-    step: int
-    dims: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Embedding:
     graph: Graph
     factor: StarTriangleFactor
     picks: PickSequence
     pseudo: PseudoNeighborhood
     schedule: RadiusSchedule
-    blocks: tuple[DimensionBlock, ...]
     points: PointSet
 
     @property
     def d(self) -> int:
         return self.points.d
+
+    def blocks_json(self) -> list[dict[str, Any]]:
+        return [{"k": p.k, "class": p.cls.value, "dims": list(dims), "step": p.step}
+                for p, dims in zip(self.picks.picks, block_dims(self.picks))]
 
     def to_json(self) -> dict[str, Any]:
         sched = self.schedule
@@ -65,10 +63,7 @@ class Embedding:
             "d": self.d,
             "r": rat_to_json(sched.r),
             "delta": rat_to_json(sched.delta),
-            "blocks": [
-                {"k": b.k, "class": b.cls.value, "dims": list(b.dims), "step": b.step}
-                for b in self.blocks
-            ],
+            "blocks": self.blocks_json(),
             "coords": self.points.to_json()["coords"],
             "trace": {
                 "picks": self.picks.to_json(),
@@ -96,6 +91,16 @@ def block_width(cls: PickClass, size: int) -> int:
     if cls is PickClass.NONADJACENT_PAIR:
         return 1
     return 2
+
+
+def block_dims(picks: PickSequence) -> list[range]:
+    """Block k's dimensions: the next block_width(class, |P_k|) after block k-1's."""
+    dims, first = [], 0
+    for p in picks.picks:
+        width = block_width(p.cls, len(p.vertices))
+        dims.append(range(first, first + width))
+        first += width
+    return dims
 
 
 class _Ctx:
@@ -661,8 +666,8 @@ _BUILDERS = {
 }
 
 
-def assign_block(ctx: _Ctx, k: int, first_dim: int) -> tuple[DimensionBlock, dict[int, Vec]]:
-    """Block k and its columns: each vertex's coordinates there, in delta units."""
+def assign_block(ctx: _Ctx, k: int) -> dict[int, Vec]:
+    """Block k's columns: each vertex's coordinates there, in delta units."""
     pick = ctx.picks.picks[k]
     values = _BUILDERS[pick.cls](ctx, pick)
     width = block_width(pick.cls, len(pick.vertices))
@@ -670,8 +675,7 @@ def assign_block(ctx: _Ctx, k: int, first_dim: int) -> tuple[DimensionBlock, dic
     if missing:
         raise PipelineError("embedder", f"block {k} left vertices {missing} without "
                             f"a {width}-dimensional value", k=k, vertices=missing)
-    dims = tuple(range(first_dim, first_dim + width))
-    return DimensionBlock(k, pick.cls, pick.step, dims), values
+    return values
 
 
 def check_accounting(g: Graph, picks: PickSequence) -> None:
@@ -709,11 +713,9 @@ def embed(g: Graph, r: Fraction | None = None) -> Embedding:
     validate_schedule(f, pn, picks, sched)
 
     ctx = _Ctx(g, f, picks, pn, sched)
-    blocks: list[DimensionBlock] = []
     rows: list[list[int]] = [[] for _ in range(g.n)]
     for k in range(picks.count):
-        block, values = assign_block(ctx, k, len(rows[0]))
-        blocks.append(block)
+        values = assign_block(ctx, k)
         for v, row in enumerate(rows):
             row.extend(values[v])
 
@@ -725,4 +727,4 @@ def embed(g: Graph, r: Fraction | None = None) -> Embedding:
                             d=d, bound=limit)
     num, den = sched.delta.numerator, sched.delta.denominator
     grid = tuple(tuple(x * num for x in row) for row in rows)
-    return Embedding(g, f, picks, pn, sched, tuple(blocks), PointSet(d, grid, den))
+    return Embedding(g, f, picks, pn, sched, PointSet(d, grid, den))

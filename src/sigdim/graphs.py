@@ -66,9 +66,11 @@ class Graph:
         """Inputs to the embedding pipeline need n >= 2 and minimum degree 1."""
         if self.n < 2:
             raise GraphInputError("too_small", f"need at least 2 vertices, got {self.n}")
-        bad = self.isolated_vertices()
-        if bad:
-            raise GraphInputError("isolated", f"isolated vertex {bad[0]}")
+        # No adj: the first vertex outside every edge is among the first 2m+1.
+        ends = {v for e in self.edges for v in e}
+        bad = next((v for v in range(self.n) if v not in ends), None)
+        if bad is not None:
+            raise GraphInputError("isolated", f"isolated vertex {bad}")
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)

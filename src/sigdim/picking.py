@@ -77,7 +77,6 @@ class PickedSet:
 @dataclass(frozen=True)
 class PickSequence:
     picks: tuple[PickedSet, ...]
-    factor: StarTriangleFactor
 
     @property
     def count(self) -> int:
@@ -95,11 +94,8 @@ class _Run:
         self.g = g
         self.f = f
         self.live: dict[int, set[int]] = {u: set(s) for u, s in f.stars.items()}
-        self.owner = dict(f.leaf_center)
         self.picked: set[int] = set()
         self.picks: list[PickedSet] = []
-        self.untouched: set[int] = set(f.stars)   # A: stars with all leaves left
-        self.touched: set[int] = set()            # B: stars missing some leaves
 
     # -- shared helpers ----------------------------------------------------
 
@@ -113,8 +109,9 @@ class _Run:
         return sum(1 for a, b in combinations(vs, 2) if self.g.has_edge(a, b))
 
     def same_group(self, vs: tuple[int, ...]) -> bool:
-        """True when two of vs are unpicked leaves of one star."""
-        owners = [self.owner[v] for v in vs if v in self.owner]
+        """True when two of vs are leaves of one star; callers pass unpicked vertices."""
+        owner = self.f.leaf_center
+        owners = [owner[v] for v in vs if v in owner]
         return len(owners) != len(set(owners))
 
     def emit(self, vertices: Iterable[int], cls: PickClass, step: int,
@@ -128,28 +125,24 @@ class _Run:
         self.picks.append(PickedSet(len(self.picks), vs, cls, step, roles or {}))
         for v in vs:
             self.picked.add(v)
-            self.untouched.discard(v)
-            self.touched.discard(v)
-            u = self.owner.pop(v, None)
+            u = self.f.leaf_center.get(v)
             if u is not None:
                 self.live[u].discard(v)
-                if self.live[u]:
-                    if u in self.untouched:
-                        self.untouched.remove(u)
-                        self.touched.add(u)
-                else:
-                    self.touched.discard(u)
-                    self.untouched.discard(u)
+
+    def stars_left(self) -> list[int]:
+        """Stars still in play: the center unpicked and some leaves live."""
+        return [u for u in sorted(self.live) if u not in self.picked and self.live[u]]
 
     # -- phase 1: triples drawn from three distinct stars --------------------
 
     def star_loop(self) -> None:
-        while len(self.untouched) + len(self.touched) >= 3:
-            nb = len(self.touched)
+        while len(stars := self.stars_left()) >= 3:
+            # A: stars with all leaves live; B: stars that lost some.
+            take_a = [u for u in stars if len(self.live[u]) == len(self.f.stars[u])]
+            take_b = [u for u in stars if len(self.live[u]) < len(self.f.stars[u])]
+            nb = len(take_b)
             if nb > 3:
                 raise self.fail(2, f"more than three partially used stars: {nb}")
-            take_b = sorted(self.touched)
-            take_a = sorted(self.untouched)
             if nb == 0:
                 x, y, z = take_a[:3]
             elif nb == 1:
@@ -186,7 +179,7 @@ class _Run:
     # -- phase 2: remaining star centers -------------------------------------
 
     def leftover_centers(self) -> None:
-        rem = sorted(self.untouched | self.touched)
+        rem = self.stars_left()
         if len(rem) == 2:
             self.emit(rem, PickClass.RANDOM, 18)
         elif len(rem) == 1:
@@ -313,7 +306,7 @@ def pick_vertices(g: Graph, f: StarTriangleFactor) -> PickSequence:
         run.clique_sweep()
     if run.unpicked():
         raise run.fail(47, f"vertices left unpicked: {run.unpicked()}")
-    return PickSequence(tuple(run.picks), f)
+    return PickSequence(tuple(run.picks))
 
 
 def validate_picks(g: Graph, f: StarTriangleFactor, seq: PickSequence) -> None:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Any
 
-from .embedding import Embedding, dimension_bound
+from .embedding import Embedding, block_dims, dimension_bound
 from .graphs import Graph
 from .rationals import rat_to_json, to_grid
 from .sig import compute_radii, compute_sig
@@ -94,6 +94,7 @@ class _Grid:
             grid, table = ([[x * up for x in row] for row in mat] for mat in (grid, table))
         n = g.n
         self.cols = list(zip(*grid))
+        self.dims = block_dims(emb.picks)
         self.rv = to_grid((rv[v] for v in range(n)), self.scale)
         self.index = emb.picks.index_of()
         self.center = [emb.factor.leaf_center.get(v) for v in range(n)]
@@ -109,9 +110,7 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
     """Evaluate families (1)-(5) for block k; returns one entry per violation."""
     if grid is None:
         grid = _Grid(g, emb)
-    cols = [grid.cols[j] for j in emb.blocks[k].dims]
-    if not cols:
-        raise ValueError(f"block {k} has no dimensions")
+    cols = [grid.cols[j] for j in grid.dims[k]]
     rv, index, center = grid.rv, grid.index, grid.center
     fails: list[InequalityFailure] = []
 

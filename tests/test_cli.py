@@ -197,6 +197,26 @@ def test_bad_radius_rejected(capsys, k2_file, command, radius):
     assert one_line_error(*run(capsys, *argv, "--r", radius))
 
 
+@pytest.mark.parametrize("prob", ["abc", "1/0", "-1/2", "3/2"])
+def test_bad_edge_probability_rejected(capsys, prob):
+    assert one_line_error(*run(capsys, "fuzz", "--n-min", "4", "--n-max", "4", f"--p={prob}",
+                               "--seed", "1", "--count", "1"))
+
+
+@pytest.mark.parametrize("argv", [["embed"], ["embed", "GRAPH", "--format", "xml"],
+                                  ["embedd", "GRAPH"]],
+                         ids=["missing-graph", "unknown-format", "unknown-command"])
+def test_usage_error_exits_1(capsys, k2_file, argv):
+    # Exit code 2 means a failed certificate; a bad command line is an input error.
+    code, _, stderr = run(capsys, *(k2_file if a == "GRAPH" else a for a in argv))
+    assert code == 1 and "usage:" in stderr
+
+
+def test_help_exits_0(capsys):
+    code, stdout, _ = run(capsys, "embed", "--help")
+    assert code == 0 and "usage:" in stdout
+
+
 @pytest.mark.parametrize("command", ["sig", "verify"])
 def test_zero_denominator_rejected(tmp_path, capsys, k2_file, command):
     out = tmp_path / "k2.json"
@@ -238,10 +258,28 @@ def _empty_dims(data):
     data["blocks"][0]["dims"] = []
 
 
+def _empty_pick(data):
+    # Layout-consistent: an empty class I pick has an empty block and adds no width.
+    k = len(data["blocks"])
+    data["trace"]["picks"].append({"k": k, "class": "I", "step": 19, "vertices": [],
+                                   "roles": {}})
+    data["blocks"].append({"k": k, "class": "I", "dims": [], "step": 19})
+
+
+def _block_class(data):
+    data["blocks"][0]["class"] = "II"
+
+
+def _shifted_dims(data):
+    data["blocks"][-1]["dims"] = [j - 1 for j in data["blocks"][-1]["dims"]]
+
+
 @pytest.mark.parametrize("mutate", [_short("rv"), _short("m"), _set_dim, _wrong_d,
-                                    _ragged, _unknown_pick, _missing_row, _empty_dims],
+                                    _ragged, _unknown_pick, _missing_row, _empty_dims,
+                                    _empty_pick, _block_class, _shifted_dims],
                          ids=["short-rv", "short-m", "dims-range", "wrong-d", "ragged",
-                              "unknown-pick", "missing-row", "empty-dims"])
+                              "unknown-pick", "missing-row", "empty-dims", "empty-pick",
+                              "block-class", "shifted-dims"])
 def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     graph = tmp_path / "k13.txt"
     graph.write_text(K13)

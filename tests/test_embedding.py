@@ -8,9 +8,10 @@ from math import ceil, floor
 import pytest
 
 from sigdim import dimension_bound, embed, generate_random, parse_graph, verify
-from sigdim.embedding import check_accounting
+from sigdim.embedding import block_dims, check_accounting
 from sigdim.picking import PickClass
-from conftest import C3, C5, CLASS_V, CLASS_VI_1, CLASS_VI_2, K13, K2, P3, TWO_K2
+from conftest import (C3, C5, CLASS_V, CLASS_VI_1, CLASS_VI_2, K13, K2, P3, TWO_K2,
+                      planted_stars)
 
 
 def coords_of(text, r=None):
@@ -60,12 +61,23 @@ FULL_GOLDENS = [
     ("C5", Fraction(7, 3), "9bde9e35be9717dcc390256a9996b2bebf482f2b067a8459f00df2230644005b"),
     ("G30", None, "8521e8b91c28ea93818dfd9b6a03faca149ab2b6fb8b94972d50378221532015"),
     ("G30", Fraction(7, 3), "ed06efb45f7f1efc8fdf4c945e8b9f569e61f341169efaf708a43cf3e2525000"),
+    # Star-heavy traces: steps 7, 9, 19, 22, 27 (seed 0); 9, 10, 18, 22, 30
+    # (seed 1); 7, 9, 22, 32 (seed 6).  All three pass verification.
+    ("STARS0", None, "94d0eff930d210e5e5082c3e7cd55afbf4bee8c15df0e33734cf314f2c2dde19"),
+    ("STARS0", Fraction(7, 3), "8887ba82d9b5ac89416d921da59f00d9811b5b9bc83cfd6a200dae725425d486"),
+    ("STARS1", None, "8854ebb2d5b6370f2991dad08559e20047fa23b668cc35641099f71a483f697e"),
+    ("STARS1", Fraction(7, 3), "d346b4bde06b98241caf2d25c6ce7491bfe0a53c068f1427fac2322d8aa79912"),
+    ("STARS6", None, "03a22fd46b38df7a724d1efb18e7fb2cdc3e3aca0ef27f686c7529fd14a8587e"),
+    ("STARS6", Fraction(7, 3), "588b41e40078f49604e5b42b1ca234d3aa0616b3cd50d6b0b0948aa5a250485d"),
 ]
 GOLDEN_GRAPHS = {
     "CLASS_V": lambda: parse_graph(CLASS_V),
     "CLASS_VI_1": lambda: parse_graph(CLASS_VI_1),
     "C5": lambda: parse_graph(C5),
     "G30": lambda: generate_random(30, 0.5, 7),
+    "STARS0": lambda: planted_stars(24, 0),
+    "STARS1": lambda: planted_stars(24, 1),
+    "STARS6": lambda: planted_stars(24, 6),
 }
 
 
@@ -137,14 +149,14 @@ def test_rational_radius_override():
 
 def test_block_widths():
     emb = embed(parse_graph(K13))
-    assert [len(b.dims) for b in emb.blocks] == [1, 2]  # singleton, residual of 3
+    assert block_dims(emb.picks) == [range(0, 1), range(1, 3)]  # singleton, residual of 3
 
 
 def test_class_v_embedding_verifies():
     g = parse_graph(CLASS_V)
     emb = embed(g)
     assert verify(g, emb).verdict == "pass"
-    assert any(b.cls is PickClass.TWO_LEAF_TRIPLE for b in emb.blocks)
+    assert any(p.cls is PickClass.TWO_LEAF_TRIPLE for p in emb.picks.picks)
 
 
 def test_class_vi_embeddings_verify():
@@ -152,7 +164,7 @@ def test_class_vi_embeddings_verify():
         g = parse_graph(text)
         emb = embed(g)
         assert verify(g, emb).verdict == "pass"
-        assert any(b.cls is PickClass.ONE_LEAF_EDGE_TRIPLE for b in emb.blocks)
+        assert any(p.cls is PickClass.ONE_LEAF_EDGE_TRIPLE for p in emb.picks.picks)
 
 
 def test_isolated_vertex_rejected():

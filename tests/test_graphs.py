@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,3 +112,16 @@ def test_delete_vertex_relabels():
     g = parse_graph("4 3\n0 1\n1 2\n2 3")
     h = g.delete_vertex(1)
     assert h.n == 3 and h.edges == frozenset({(1, 2)})
+
+
+def test_huge_header_rejected_without_allocating():
+    # The isolated-vertex check must not build adjacency for every vertex.
+    tracemalloc.start()
+    try:
+        g = parse_graph("1000000 0\n")
+        with pytest.raises(GraphInputError, match="isolated vertex 0"):
+            g.require_embeddable()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+import json
 from pathlib import Path
 
 import sigdim
+import sigdim.cli
 
 
 def test_no_assert_in_package():
@@ -15,3 +18,26 @@ def test_no_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_perfbench_patch_targets_exist(tmp_path):
+    # The benchmark's tracer patches sigdim names at run time; a renamed or
+    # removed name must fail here, not in a traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    graph, out = tmp_path / "k13.txt", tmp_path / "k13.json"
+    graph.write_text("4 3\n0 1\n0 2\n0 3\n")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [sigdim.cli.main(["embed", str(graph), "-o", str(out)]),
+                 sigdim.cli.main(["verify", str(graph), str(out)])]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    assert sigdim.cli.json is json and "traced" not in repr(sigdim.cli.embed)
+    # The recorded calls feed the per-layer counts, which read the embedding.
+    sizes = tracing._observed_sizes(tracer.observed)
+    assert sizes["sum"]["verify.ineq_evals.f2"] > 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import sigdim.sig
 from sigdim import PointSet, check_inequalities, embed, generate_random, parse_graph, verify
+from sigdim.embedding import block_dims
 from conftest import C3, K13, K2
 
 
@@ -68,7 +69,7 @@ def test_residual_boundary_instance():
     emb = embed(g)
     assert not check_inequalities(g, emb, 1)
     c1, c2 = emb.points.points[1], emb.points.points[2]
-    dist = max(abs(c1[j] - c2[j]) for j in emb.blocks[1].dims)
+    dist = max(abs(c1[j] - c2[j]) for j in block_dims(emb.picks)[1])
     assert dist == 96 == emb.schedule.rv[1] + emb.schedule.rv[2]
 
 
@@ -78,14 +79,6 @@ def test_suite_clean_implies_direct_checks(corpus5):
         rep = verify(g, emb)
         if not rep.inequality_failures:
             assert rep.sig_equal and rep.radius_agree
-
-
-def test_empty_block_rejected():
-    g = parse_graph(C3)
-    emb = embed(g)
-    blocks = (replace(emb.blocks[0], dims=()),) + emb.blocks[1:]
-    with pytest.raises(ValueError, match="block 0 has no dimensions"):
-        verify(g, replace(emb, blocks=blocks))
 
 
 def test_vertex_count_mismatch():
@@ -148,7 +141,7 @@ def _reference_sig_and_radii(coords):
 
 
 def _reference_block(g, emb, k) -> list[dict]:
-    coords, rv, dims = emb.points.points, emb.schedule.rv, emb.blocks[k].dims
+    coords, rv, dims = emb.points.points, emb.schedule.rv, block_dims(emb.picks)[k]
     index = emb.picks.index_of()
     center = emb.factor.leaf_center
     fails = []
