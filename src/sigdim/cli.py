@@ -84,6 +84,9 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
         raise ValueError(f"coords, trace.m and trace.rv need one entry per vertex, n={g.n}")
     points = PointSet.from_rows(rows)
     fd = trace["factor"]
+    if not (isinstance(fd["stars"], dict) and isinstance(fd["triangles"], list)
+            and isinstance(fd["matching"], list)):
+        raise ValueError("trace.factor needs a stars object and triangles and matching lists")
     factor = StarTriangleFactor(
         stars={int(u): frozenset(s) for u, s in fd["stars"].items()},
         triangles=frozenset(tuple(t) for t in fd["triangles"]),
@@ -114,11 +117,7 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (GraphInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _read_graph(args.graph)
     try:
         emb = embed(g, args.r)
     except PipelineError as exc:
@@ -166,11 +165,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (GraphInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _read_graph(args.graph)
     ps = oracle_embed_2ia(g)
     ok = compute_sig(ps).edges == g.edges
     _emit(ps.to_json(), args.out)
@@ -290,8 +285,13 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"error: {message}\n")  # one line, no usage
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigdim",
         description="Sphere-of-influence realizations under the sup-norm",
     )
@@ -357,7 +357,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (GraphInputError, OSError) as exc:  # a bad graph file, an unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -50,6 +50,15 @@ class Graph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(b)) for b in nbrs)
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Neighbour bitmasks: bit u of masks[v] is set when uv is an edge."""
+        out = [0] * self.n
+        for u, v in self.edges:
+            out[u] |= 1 << v
+            out[v] |= 1 << u
+        return tuple(out)
+
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
 

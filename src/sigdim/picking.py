@@ -17,7 +17,9 @@ The selection runs in phases over the star-triangle factor:
 Each picked set is tagged with one of eight classes that decides which
 coordinate table embeds it, and with the step that emitted it.  All searches
 take the lexicographically smallest eligible tuple, so the sequence is a pure
-function of the graph and factor.
+function of the graph and factor.  The step-22, 24 and 40 scans read the
+graph's neighbour bitmasks (``Graph.masks``): for each a < b in that same
+order, the smallest fitting c is the lowest bit of one candidate mask.
 """
 
 from __future__ import annotations
@@ -96,32 +98,25 @@ class _Run:
         self.live: dict[int, set[int]] = {u: set(s) for u, s in f.stars.items()}
         self.picked: set[int] = set()
         self.picks: list[PickedSet] = []
+        # group[v]: the leaves of v's star when v is a leaf, else 0.
+        star = {u: _mask(leaves) for u, leaves in f.stars.items()}
+        self.group = [star.get(f.leaf_center.get(v), 0) for v in range(g.n)]
 
     # -- shared helpers ----------------------------------------------------
 
     def fail(self, step: int, message: str, **details: Any) -> PipelineError:
         return PipelineError("picker", f"step {step}: {message}", step=step, **details)
 
-    def independent(self, vs: Iterable[int]) -> bool:
-        return all(not self.g.has_edge(a, b) for a, b in combinations(tuple(vs), 2))
-
-    def edge_count(self, vs: tuple[int, ...]) -> int:
-        return sum(1 for a, b in combinations(vs, 2) if self.g.has_edge(a, b))
-
-    def same_group(self, vs: tuple[int, ...]) -> bool:
-        """True when two of vs are leaves of one star; callers pass unpicked vertices."""
-        owner = self.f.leaf_center
-        owners = [owner[v] for v in vs if v in owner]
-        return len(owners) != len(set(owners))
+    def independent(self, vs: tuple[int, ...]) -> bool:
+        return _edges_within(self.g, vs) == 0
 
     def emit(self, vertices: Iterable[int], cls: PickClass, step: int,
              roles: dict[str, int] | None = None) -> None:
         vs = tuple(sorted(vertices))
         if not vs:
             raise self.fail(step, "empty pick")
-        for v in vs:
-            if v in self.picked:
-                raise self.fail(step, f"vertex {v} picked twice", vertex=v)
+        if dup := sorted(self.picked.intersection(vs)):
+            raise self.fail(step, f"vertex {dup[0]} picked twice", vertex=dup[0])
         self.picks.append(PickedSet(len(self.picks), vs, cls, step, roles or {}))
         for v in vs:
             self.picked.add(v)
@@ -143,23 +138,12 @@ class _Run:
             nb = len(take_b)
             if nb > 3:
                 raise self.fail(2, f"more than three partially used stars: {nb}")
-            if nb == 0:
-                x, y, z = take_a[:3]
-            elif nb == 1:
-                x, y = take_a[:2]
-                z = take_b[0]
-            elif nb == 2:
-                x = take_a[0]
-                y, z = take_b[:2]
-            else:
-                x, y, z = take_b[:3]
+            x, y, z = take_a[:3 - nb] + take_b
 
             if self.independent((x, y, z)):
                 self.emit((x, y, z), PickClass.SUPER_TRIPLE, 7)
                 continue
-            x1 = min(self.live[x])
-            y1 = min(self.live[y])
-            z1 = min(self.live[z])
+            x1, y1, z1 = (min(self.live[u]) for u in (x, y, z))
             candidates = [
                 ((x1, y, z), 9), ((x, y1, z), 9), ((x, y, z1), 9),
                 ((x, y1, z1), 10), ((x1, y, z1), 10), ((x1, y1, z), 10),
@@ -190,23 +174,33 @@ class _Run:
     def unpicked(self) -> list[int]:
         return [v for v in range(self.g.n) if v not in self.picked]
 
-    def triple_scan(self, wanted_edges: int, step: int) -> tuple[int, ...] | None:
-        for triple in combinations(self.unpicked(), 3):
-            if self.same_group(triple):
-                continue
-            if self.edge_count(triple) == wanted_edges:
-                return triple
+    def triple_scan(self, wanted_edges: int) -> tuple[int, int, int] | None:
+        """Smallest unpicked a < b < c with `wanted_edges` (0 or 1) edges, no two
+        in one leaf group."""
+        nbr, group = self.g.masks, self.group
+        rest = self.unpicked()
+        free = _mask(rest)
+        for a in rest:
+            na = nbr[a]
+            bs = free & ~group[a] & -(2 << a)  # b, then c: unpicked, above a
+            if not wanted_edges:
+                bs &= ~na
+            while bs:
+                b = _lowest(bs)
+                bs &= bs - 1
+                cs = na ^ nbr[b] if wanted_edges and not na >> b & 1 else ~(na | nbr[b])
+                if cs := cs & bs & ~group[b]:
+                    return a, b, _lowest(cs)
         return None
 
     def independent_triples(self) -> None:
-        while (t := self.triple_scan(0, 22)) is not None:
+        while (t := self.triple_scan(0)) is not None:
             self.emit(t, PickClass.SUPER_TRIPLE, 22)
 
     def one_edge_triples(self) -> None:
-        while (t := self.triple_scan(1, 24)) is not None:
-            pairs = [(a, b) for a, b in combinations(t, 2) if self.g.has_edge(a, b)]
-            p, q = pairs[0]
-            (s,) = (v for v in t if v not in (p, q))
+        while (t := self.triple_scan(1)) is not None:
+            (s,) = (v for v in t if not self.g.masks[v] & _mask(t))
+            p, q = (v for v in t if v != s)
             self.emit(t, PickClass.ONE_EDGE_TRIPLE, 24, roles={"p": p, "q": q, "s": s})
 
     def leaf_group_endgame(self) -> bool:
@@ -234,55 +228,49 @@ class _Run:
             if not outside:  # step 32
                 self.emit(sorted(dw), PickClass.RESIDUAL, 32)
                 return True
-            found = self._independent_leaf_pair_triple(outside, dw)
-            if found is not None:  # step 33
-                v0, w1, w2 = found
-                self.emit((v0, w1, w2), PickClass.TWO_LEAF_TRIPLE, 33,
-                          roles={"v0": v0, "w1": w1, "w2": w2, "w": w})
-                continue
-            found = self._leaf_edge_triple(outside, dw)
-            if found is not None:  # step 35
-                w0, v1, v2 = found
-                self.emit((w0, v1, v2), PickClass.ONE_LEAF_EDGE_TRIPLE, 35,
-                          roles={"w0": w0, "v1": v1, "v2": v2, "w": w})
+            if self._two_leaf_triple(outside, dw, w) or self._leaf_edge_triple(outside, dw, w):
                 continue
             if len(outside) == 1:  # step 37
                 self.emit(outside, PickClass.RANDOM, 37)
             self.emit(sorted(dw), PickClass.RESIDUAL, 38)
             return False
 
-    def _independent_leaf_pair_triple(self, outside, dw) -> tuple[int, int, int] | None:
+    def _two_leaf_triple(self, outside, dw, w) -> bool:
+        """Step 33: an outside v0 and leaves w1 < w2 of w, independent; True if emitted."""
         for v0 in outside:
             for w1, w2 in combinations(sorted(dw), 2):
                 if self.independent((v0, w1, w2)):
-                    return v0, w1, w2
-        return None
+                    self.emit((v0, w1, w2), PickClass.TWO_LEAF_TRIPLE, 33,
+                              roles={"v0": v0, "w1": w1, "w2": w2, "w": w})
+                    return True
+        return False
 
-    def _leaf_edge_triple(self, outside, dw) -> tuple[int, int, int] | None:
+    def _leaf_edge_triple(self, outside, dw, w) -> bool:
+        """Step 35: a leaf w0 of w and an outside edge v1v2 with w0 on v1 only."""
+        nbr = self.g.masks
         for w0 in sorted(dw):
             for va, vb in combinations(outside, 2):
-                if not self.g.has_edge(va, vb):
-                    continue
-                hits = self.g.has_edge(w0, va) + self.g.has_edge(w0, vb)
-                if hits == 1:
-                    v1, v2 = (va, vb) if self.g.has_edge(w0, va) else (vb, va)
-                    return w0, v1, v2
-        return None
+                if nbr[va] >> vb & 1 and (nbr[w0] >> va ^ nbr[w0] >> vb) & 1:
+                    v1, v2 = (va, vb) if nbr[w0] >> va & 1 else (vb, va)
+                    self.emit((w0, v1, v2), PickClass.ONE_LEAF_EDGE_TRIPLE, 35,
+                              roles={"w0": w0, "v1": v1, "v2": v2, "w": w})
+                    return True
+        return False
 
     def nonadjacent_pairs(self) -> None:
-        while True:
-            rest = self.unpicked()
-            pair = next(
-                (pq for pq in combinations(rest, 2) if not self.g.has_edge(*pq)), None
-            )
-            if pair is None:
-                return
-            self.emit(pair, PickClass.NONADJACENT_PAIR, 40,
-                      roles={"p": pair[0], "q": pair[1]})
+        """Step 40: repeatedly the smallest unpicked pair a < b with ab not an edge."""
+        rest = self.unpicked()
+        free = _mask(rest)
+        for a in rest:
+            qs = free & ~self.g.masks[a] & -(2 << a)
+            if free >> a & 1 and qs:
+                b = _lowest(qs)
+                self.emit((a, b), PickClass.NONADJACENT_PAIR, 40, roles={"p": a, "q": b})
+                free &= ~(1 << a | 1 << b)
 
     def clique_sweep(self) -> None:
         rest = self.unpicked()
-        if not self.independent_complement(rest):
+        if 2 * _edges_within(self.g, rest) != len(rest) * (len(rest) - 1):
             raise self.fail(42, "remainder is not a clique", vertices=rest)
         while len(rest) >= 3:
             self.emit(rest[:3], PickClass.CLIQUE_TRIPLE, 43)
@@ -290,8 +278,20 @@ class _Run:
         if rest:
             self.emit(rest, PickClass.RANDOM, 45)
 
-    def independent_complement(self, vs: list[int]) -> bool:
-        return all(self.g.has_edge(a, b) for a, b in combinations(vs, 2))
+
+def _mask(vs: Iterable[int]) -> int:
+    """Bitmask of distinct vertices."""
+    return sum(1 << v for v in vs)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _edges_within(g: Graph, vs: tuple[int, ...] | list[int]) -> int:
+    """Edges of g with both ends in vs, which holds distinct vertices."""
+    m = _mask(vs)
+    return sum((g.masks[v] & m).bit_count() for v in vs) // 2
 
 
 def pick_vertices(g: Graph, f: StarTriangleFactor) -> PickSequence:
@@ -300,8 +300,7 @@ def pick_vertices(g: Graph, f: StarTriangleFactor) -> PickSequence:
     run.leftover_centers()
     run.independent_triples()
     run.one_edge_triples()
-    stop = run.leaf_group_endgame()
-    if not stop:
+    if not run.leaf_group_endgame():
         run.nonadjacent_pairs()
         run.clique_sweep()
     if run.unpicked():
@@ -341,9 +340,8 @@ def validate_picks(g: Graph, f: StarTriangleFactor, seq: PickSequence) -> None:
 
 def _check_class_shape(g: Graph, f: StarTriangleFactor, p: PickedSet) -> None:
     vs = p.vertices
-    edges = sum(1 for a, b in combinations(vs, 2) if g.has_edge(a, b))
-    owners = [f.star_of(v) for v in vs]
-    real_owners = [o for o in owners if o is not None]
+    edges = _edges_within(g, vs)
+    real_owners = [f.leaf_center[v] for v in vs if v in f.leaf_center]
 
     def bad(msg: str) -> PipelineError:
         return PipelineError("picker", f"P_{p.k} ({p.cls.value}): {msg}",
@@ -392,28 +390,16 @@ def _check_class_shape(g: Graph, f: StarTriangleFactor, p: PickedSet) -> None:
 def _check_later_adjacency(g: Graph, f: StarTriangleFactor, seq: PickSequence) -> None:
     """Later-picked vertices are adjacent to residual sets, non-adjacent pairs,
     and (outside the star) to independent leaf-pair triples."""
-    for p in seq.picks:
-        later = [v for q in seq.picks[p.k + 1:] for v in q.vertices]
+    later = 0
+    for p in reversed(seq.picks):
+        must = 0
         if p.cls is PickClass.RESIDUAL or p.cls is PickClass.NONADJACENT_PAIR:
-            for u in p.vertices:
-                for v in later:
-                    if not g.has_edge(u, v):
-                        raise PipelineError(
-                            "picker",
-                            f"P_{p.k} ({p.cls.value}): later vertex {v} "
-                            f"not adjacent to {u}",
-                            k=p.k, pair=(u, v),
-                        )
+            must = later
         elif p.cls is PickClass.TWO_LEAF_TRIPLE:
-            star = f.stars[p.roles["w"]]
-            for v in later:
-                if v in star:
-                    continue
-                for u in p.vertices:
-                    if not g.has_edge(u, v):
-                        raise PipelineError(
-                            "picker",
-                            f"P_{p.k} (V): later outside vertex {v} "
-                            f"not adjacent to {u}",
-                            k=p.k, pair=(u, v),
-                        )
+            must = later & ~_mask(f.stars[p.roles["w"]])
+        for u in p.vertices:
+            if missed := must & ~g.masks[u]:
+                v = _lowest(missed)
+                raise PipelineError("picker", f"P_{p.k} ({p.cls.value}): later vertex {v} "
+                                    f"not adjacent to {u}", k=p.k, pair=(u, v))
+        later |= _mask(p.vertices)

@@ -207,9 +207,16 @@ def test_bad_edge_probability_rejected(capsys, prob):
                                   ["embedd", "GRAPH"]],
                          ids=["missing-graph", "unknown-format", "unknown-command"])
 def test_usage_error_exits_1(capsys, k2_file, argv):
-    # Exit code 2 means a failed certificate; a bad command line is an input error.
-    code, _, stderr = run(capsys, *(k2_file if a == "GRAPH" else a for a in argv))
-    assert code == 1 and "usage:" in stderr
+    # Exit code 2 means a failed certificate; a bad command line is an input error,
+    # reported like every other one: a single "error:" line, no usage text.
+    assert one_line_error(*run(capsys, *(k2_file if a == "GRAPH" else a for a in argv)))
+
+
+@pytest.mark.parametrize("command", [["embed", "GRAPH"], ["oracle", "GRAPH"],
+                                     ["exhaustive", "--max-n", "3"]])
+def test_unwritable_output_rejected(tmp_path, capsys, k2_file, command):
+    argv = [k2_file if a == "GRAPH" else a for a in command]
+    assert one_line_error(*run(capsys, *argv, "-o", tmp_path / "missing" / "out.json"))
 
 
 def test_help_exits_0(capsys):
@@ -274,12 +281,22 @@ def _shifted_dims(data):
     data["blocks"][-1]["dims"] = [j - 1 for j in data["blocks"][-1]["dims"]]
 
 
+def _factor_field(key, value):
+    def mutate(data):
+        data["trace"]["factor"][key] = value(data["trace"]["factor"][key])
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [_short("rv"), _short("m"), _set_dim, _wrong_d,
                                     _ragged, _unknown_pick, _missing_row, _empty_dims,
-                                    _empty_pick, _block_class, _shifted_dims],
+                                    _empty_pick, _block_class, _shifted_dims,
+                                    _factor_field("stars", lambda s: list(s.values())),
+                                    _factor_field("stars", lambda s: 0),
+                                    _factor_field("triangles", lambda t: {})],
                          ids=["short-rv", "short-m", "dims-range", "wrong-d", "ragged",
                               "unknown-pick", "missing-row", "empty-dims", "empty-pick",
-                              "block-class", "shifted-dims"])
+                              "block-class", "shifted-dims", "stars-list", "stars-int",
+                              "triangles-object"])
 def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     graph = tmp_path / "k13.txt"
     graph.write_text(K13)

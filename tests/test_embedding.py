@@ -69,6 +69,9 @@ FULL_GOLDENS = [
     ("STARS1", Fraction(7, 3), "d346b4bde06b98241caf2d25c6ce7491bfe0a53c068f1427fac2322d8aa79912"),
     ("STARS6", None, "03a22fd46b38df7a724d1efb18e7fb2cdc3e3aca0ef27f686c7529fd14a8587e"),
     ("STARS6", Fraction(7, 3), "588b41e40078f49604e5b42b1ca234d3aa0616b3cd50d6b0b0948aa5a250485d"),
+    # Dense: steps 22, 24, 40, 43 and 45.
+    ("DENSE48", None, "237f5566941fa4c1aadf75b11601f636eaee3ca6b942976939379d2488ed1699"),
+    ("DENSE48", Fraction(7, 3), "40fa20271d3c28b9380a9192f802f161e695a081788df5d3c3f9df4e2d49a9d1"),
 ]
 GOLDEN_GRAPHS = {
     "CLASS_V": lambda: parse_graph(CLASS_V),
@@ -78,6 +81,7 @@ GOLDEN_GRAPHS = {
     "STARS0": lambda: planted_stars(24, 0),
     "STARS1": lambda: planted_stars(24, 1),
     "STARS6": lambda: planted_stars(24, 6),
+    "DENSE48": lambda: generate_random(48, 9 / 10, 7),
 }
 
 
