@@ -53,11 +53,11 @@ class Graph:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         """Neighbour bitmasks: bit u of masks[v] is set when uv is an edge."""
-        out = [0] * self.n
+        # One binary-digit row per vertex, parsed once: character -1 - u is bit u.
+        rows = [bytearray(b"0") * self.n for _ in range(self.n)]
         for u, v in self.edges:
-            out[u] |= 1 << v
-            out[v] |= 1 << u
-        return tuple(out)
+            rows[u][-1 - v] = rows[v][-1 - u] = ord("1")
+        return tuple(int(row, 2) for row in rows)
 
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges

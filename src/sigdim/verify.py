@@ -19,24 +19,32 @@ never consults the embedder's case decisions, only the coordinate matrix,
 the graph, and the pipeline trace (picks, factor, schedule).
 
 Radii join the coordinates on the point set's integer grid (a radius off it,
-from outside input, makes both finer).  Each sup-distance rho is computed once,
-in the point set's distance table, which the SIG and the radii both read.  A
-block's distance never exceeds rho, so rho(u,nu) <= r(u), or rho(u,v) < r(u) +
-r(v) on an edge, clears that pair of (1) or (5) in every block; only the other
-pairs are re-evaluated, block by block, as a full per-block scan orders them.
+from outside input, makes both finer).  Every check is a threshold question,
+so none needs rho itself.  The scheduled radii are a claim that
+``compute_radii`` confirms with ``sig.ThresholdKernel``; the SIG is one kernel
+sweep at r(u) + r(v).  The exact distance table is built only when a claim
+fails, lies off the grid or below 1, or when the point set is small.  A
+block's distance never exceeds rho, so rho(u,nu) <= r(u), or rho(u,v) < r(u)
++ r(v) on an edge, clears that pair of (1) or (5) in every block; only the
+other pairs are re-evaluated, block by block, as a full per-block scan orders
+them.  For (2)-(4), ``_Screen`` holds every v against u's thresholds at once;
+only a u it flags gets the exact per-pair pass, so the failure list is that of
+a full scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import lcm
+from operator import add, sub
 from typing import Any
 
 from .embedding import Embedding, block_dims, dimension_bound
 from .graphs import Graph
 from .rationals import rat_to_json, to_grid
-from .sig import compute_radii, compute_sig
+from .sig import compute_radii, compute_sig, pack_fields
 
 
 @dataclass(frozen=True)
@@ -86,23 +94,100 @@ class _Grid:
     """What the suite reads for every block, on one integer scale, built once."""
 
     def __init__(self, g: Graph, emb: Embedding):
-        points, rv = emb.points, emb.schedule.rv
-        self.scale = lcm(points.scale, *(x.denominator for x in rv.values()))
+        points, scheduled = emb.points, emb.schedule.rv
+        self.scale = lcm(points.scale, *(x.denominator for x in scheduled.values()))
         up = self.scale // points.scale
-        grid, table = points.grid, points.distances
-        if up != 1:  # scheduled radii off the coordinate grid
-            grid, table = ([[x * up for x in row] for row in mat] for mat in (grid, table))
         n = g.n
-        self.cols = list(zip(*grid))
+        self.cols = list(zip(*points.grid))
+        if up != 1:  # scheduled radii off the coordinate grid
+            self.cols = [[x * up for x in col] for col in self.cols]
         self.dims = block_dims(emb.picks)
-        self.rv = to_grid((rv[v] for v in range(n)), self.scale)
+        self.rv = to_grid((scheduled[v] for v in range(n)), self.scale)
         self.index = emb.picks.index_of()
         self.center = [emb.factor.leaf_center.get(v) for v in range(n)]
         self.adj = [set(a) for a in g.adj]
-        self.far_pseudo = [(u, nu) for u in range(n) for nu in emb.pseudo.n1[u]
-                           if table[u][nu] > self.rv[u]]
-        self.long_edges = [(u, v) for u, v in g.sorted_edges()
-                           if table[u][v] >= self.rv[u] + self.rv[v]]
+        self.screen = None if points.small else _Screen(self, g, emb)
+        rv, n1 = self.rv, emb.pseudo.n1
+        # A block's distance never exceeds rho, so only these pairs can fail
+        # (1) or (5) in some block.
+        if up == 1 and min(rv) >= 0 and not points.small:
+            self.far_pseudo, self.long_edges = [], []
+            for u, (a, closer) in enumerate(zip(g.adj, points.closer(rv))):
+                within, closer = set(points.kernel.near(u, n1[u], rv[u] + 1)), set(closer)
+                self.far_pseudo.extend((u, v) for v in n1[u] if v not in within)
+                self.long_edges.extend((u, v) for v in a if v > u and v not in closer)
+        else:  # a small table, or radii off the grid or below 0: the radius check built it
+            table = points.distances
+            self.far_pseudo = [(u, v) for u in range(n) for v in n1[u] if table[u][v] * up > rv[u]]
+            self.long_edges = [(u, v) for u, a in enumerate(g.adj) for v in a
+                               if v > u and table[u][v] * up >= rv[u] + rv[v]]
+
+
+class _Screen:
+    """Block distances from one u to every v at once, against (2) and (4).
+
+    The field trick of ``sig.ThresholdKernel`` turned on its side: a packed
+    block column holds m + c[v] in field v and m - c[v] in field n + v.
+    Taking it from u's value spread over every field, plus K + t - 1, leaves
+    K + t - 1 +- (c[u] - c[v]) in the two fields of v; both keep their top bit
+    iff |c[u] - c[v]| < t.  Radii fold in field by field.  Thresholds and
+    radii are clamped into [0, 2m + 1], which can only flag more pairs: the
+    screen picks the u that the exact per-pair pass must visit, nothing more.
+    """
+
+    def __init__(self, grid: _Grid, g: Graph, emb: Embedding):
+        n, self.rv, self.grid = g.n, grid.rv, grid
+        leaves: dict[int, list[int]] = {}
+        for v, c in emb.factor.leaf_center.items():
+            leaves.setdefault(c, []).append(v)
+        self.mates = [[v for v in leaves.get(c, ()) if v != u] for u, c in enumerate(grid.center)]
+        self.m = max((max(map(abs, c)) for c in grid.cols), default=0)
+        size = ((6 * self.m + 1).bit_length() + 8) // 8  # bytes per field, so that K > 6m + 1
+        self.width, self.shift = 8 * size, 8 * size * n
+        self.half, self.limit = 1 << (self.width - 1), 2 * self.m + 1
+        self.lo = pack_fields([1] * n, self.width)
+        self.hi, self.top = self.lo << self.shift, self.lo * self.half
+        folded = pack_fields([self.clamp(r) for r in grid.rv], self.width)
+        self.by_rv = folded + (folded << self.shift)
+        picked = [0] * emb.picks.count  # top bits of the vertices picked at k
+        for v, k in grid.index.items():
+            picked[k] += self.half << (self.width * v)
+        self.early = list(accumulate(picked))  # picked at k or before
+        self.late = [self.top - e + p for e, p in zip(self.early, picked)]
+        # Top bits of the vertices apart from u, eight vertices per mask byte.
+        spread = [pack_fields([self.half * (b >> i & 1) for i in range(8)], self.width)
+                  .to_bytes(self.width, "little") for b in range(256)]
+        self.apart = [int.from_bytes(b"".join([spread[b] for b in (~mask & ~(1 << u) & ((1 << n) - 1))
+                                               .to_bytes(-(-n // 8), "little")]), "little")
+                      for u, mask in enumerate(g.masks)]
+
+    def clamp(self, t: int) -> int:
+        return min(max(t, 0), self.limit)
+
+    def column(self, col) -> int:
+        plus = pack_fields(map(add, col, repeat(self.m)), self.width)
+        return plus + ((2 * self.m * self.lo - plus) << self.shift)
+
+    def within(self, packed: list[int], values: list[int], t: int, fold: bool) -> int:
+        """Top bit of field v set iff |values[j] - col_j[v]| < t (+ r(v) if fold) for all j."""
+        out, base = self.top, self.half - 1 + t + self.m
+        for col, a in zip(packed, values):
+            x = (base + a) * self.lo + (base - a) * self.hi - (col - self.by_rv if fold else col)
+            out &= x & (x >> self.shift)
+        return out
+
+    def may_fail(self, k: int, u: int, cols: list, packed: list[int]) -> bool:
+        """Whether some v may fail (2), (3) or (4) against u, picked at k.
+
+        (3) reaches only u's star mates, which are checked one by one.
+        """
+        grid, values, t = self.grid, [c[u] for c in cols], self.clamp(self.rv[u])
+        two = self.within(packed, values, t, False) | self.within(packed, values, 0, True)
+        return bool(two & (self.early[k] - (self.half << (self.width * u)))
+                    or self.within(packed, values, t, True) & self.late[k] & self.apart[u]
+                    or any(v not in grid.adj[u] and grid.index[v] <= k
+                           and max(abs(c[u] - c[v]) for c in cols) < self.rv[u] + self.rv[v]
+                           for v in self.mates[u]))
 
 
 def check_inequalities(g: Graph, emb: Embedding, k: int,
@@ -126,9 +211,12 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
         if lhs > rv[u]:
             record(1, u, nu, lhs, rv[u])
 
+    packed = [grid.screen.column(c) for c in cols] if grid.screen else []
     for u in emb.picks.picks[k].vertices:
         ru, cu, adj = rv[u], center[u], grid.adj[u]
-        diffs = [[abs(x - c[u]) for x in c] for c in cols]
+        if grid.screen and not grid.screen.may_fail(k, u, cols, packed):
+            continue
+        diffs = [map(abs, map(sub, c, repeat(c[u]))) for c in cols]
         for v, lhs in enumerate(diffs[0] if len(diffs) == 1 else map(max, *diffs)):
             if v == u:
                 continue
@@ -155,9 +243,10 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
 
     diagnostics: dict[str, Any] = {}
 
+    rv = [emb.schedule.rv[v] for v in range(g.n)]
     try:
-        realized = compute_sig(emb.points)
-        radii = compute_radii(emb.points)
+        radii = compute_radii(emb.points, rv)
+        realized = compute_sig(emb.points, radii)
     except ValueError as exc:
         diagnostics["degenerate"] = str(exc)
         return VerificationReport(False, False, False, [], diagnostics)
@@ -167,8 +256,7 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
         diagnostics["missing_edges"] = [list(e) for e in sorted(g.edges - realized.edges)[:10]]
         diagnostics["extra_edges"] = [list(e) for e in sorted(realized.edges - g.edges)[:10]]
 
-    mismatches = [(v, radii[v], emb.schedule.rv[v])
-                  for v in range(g.n) if radii[v] != emb.schedule.rv[v]]
+    mismatches = [(v, radii[v], rv[v]) for v in range(g.n) if radii[v] != rv[v]]
     radius_agree = not mismatches
     if mismatches:
         diagnostics["radius_mismatches"] = [

@@ -51,6 +51,12 @@ def test_serialize_roundtrip(g):
     assert parse_graph(g.serialize()) == g
 
 
+@given(graphs(max_n=20))
+@settings(max_examples=100, deadline=None)
+def test_masks_hold_the_neighbours(g):
+    assert g.masks == tuple(sum(1 << u for u in g.neighbors(v)) for v in range(g.n))
+
+
 def test_exhaustive_counts():
     assert len(list(generate_exhaustive(2))) == 1
     assert len(list(generate_exhaustive(3))) == 4

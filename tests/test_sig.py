@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from sigdim import (compute_radii, compute_sig, generate_exhaustive,
                     oracle_embed_2ia, parse_graph)
-from sigdim.sig import PointSet
+import sigdim.sig
+from sigdim.sig import PointSet, ThresholdKernel, _dist, pack_fields
 
 
 def points(rows):
@@ -109,3 +110,47 @@ def test_needs_two_points():
 def test_ragged_rejected():
     with pytest.raises(ValueError):
         PointSet.from_rows([[1, 2], [1]])
+
+
+@st.composite
+def integer_rows(draw):
+    d = draw(st.integers(1, 40))
+    size = draw(st.sampled_from([3, 1000, 10**12]))
+    coord = st.integers(-size, size)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=2, max_size=5))
+    return [tuple(r) for r in rows]
+
+
+@given(integer_rows(), st.lists(st.integers(0, 10**13), min_size=5, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_kernel_decides_the_exact_threshold(rows, extra):
+    kernel = ThresholdKernel(rows)
+    m = max(abs(x) for r in rows for x in r)
+    lowered = kernel.lowered(extra[:len(rows)])
+    for u, a in enumerate(rows):
+        for v, b in enumerate(rows):
+            rho = _dist(a, b)
+            for t in (rho - 1, rho, rho + 1, 2 * m + 1, 2 * m + 2, 10**40, -3, 0):
+                assert (kernel.near(u, [v], t) == [v]) == (rho < t)
+            for t in (0, max(rho - extra[v], 0), rho - extra[v] + 1, 2 * m + 3):
+                if t >= 0:
+                    assert (kernel.near(u, [v], t, lowered) == [v]) == (rho < t + extra[v])
+
+
+@given(st.integers(1, 70), st.lists(st.integers(0, 2**70), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_pack_fields(width, values):
+    values = [x % (1 << width) for x in values]
+    assert pack_fields(values, width) == sum(x << (width * i) for i, x in enumerate(values))
+
+
+def test_radius_claims_confirmed_or_replaced(monkeypatch):
+    monkeypatch.setattr(sigdim.sig, "SMALL_TABLE", 0)  # the kernel, even for four points
+    ps = points([[0, 0], [3, 1], [10, -2], [4, 9]])
+    exact = compute_radii(ps)
+    assert exact == [3, 3, 7, 8]
+    assert compute_radii(ps, exact) == exact
+    for wrong in ([3, 3, 7, 7], [3, 3, 7, 9], [0, 3, 7, 8], [Fraction(7, 2), 3, 7, 8]):
+        assert compute_radii(ps, wrong) == exact
+    with pytest.raises(ValueError, match="duplicate points 0 and 2"):
+        compute_radii(points([[1, 2], [0, 5], [1, 2]]), [1, 1, 1])

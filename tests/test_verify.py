@@ -266,17 +266,71 @@ def test_verify_matches_reference_on_duplicates():
     assert_same_report(g, replace(emb, points=PointSet.from_rows(coords)))
 
 
-def test_each_pair_distance_computed_once(monkeypatch):
-    # SIG, radii and the prefilter of families (1)/(5) all read one table.
-    g = generate_random(30, 0.5, 11)
-    emb = embed(g)
-    pairs = []
+def count_exact_distances(monkeypatch) -> list:
+    calls = []
     dist = sigdim.sig._dist
 
     def counted(a, b):
-        pairs.append(frozenset((a, b)))
+        calls.append((a, b))
         return dist(a, b)
 
     monkeypatch.setattr(sigdim.sig, "_dist", counted)
+    return calls
+
+
+def test_passing_verify_computes_no_distance(monkeypatch):
+    # The kernel answers every threshold question of a passing verify; the
+    # exact table is built only when a radius claim fails.
+    g = generate_random(60, 0.5, 11)
+    emb = embed(g)
+    assert not emb.points.small
+    calls = count_exact_distances(monkeypatch)
     assert verify(g, emb).verdict == "pass"
-    assert len(pairs) == len(set(pairs)) == g.n * (g.n - 1) // 2
+    assert calls == []
+    rv = dict(emb.schedule.rv)
+    rv[17] += 2
+    tampered = replace(emb, schedule=replace(emb.schedule, rv=rv))
+    assert_same_report(g, tampered)
+    assert len(calls) == len(set(calls)) == g.n * (g.n - 1) // 2
+
+
+def tamper_rv(emb, vertex, value):
+    rv = dict(emb.schedule.rv)
+    rv[vertex] = value(rv[vertex])
+    return replace(emb, schedule=replace(emb.schedule, rv=rv))
+
+
+@pytest.mark.parametrize("value", [
+    lambda r: 0, lambda r: -r, lambda r: Fraction(-1, 3), lambda r: 10**30,
+    lambda r: r + 1, lambda r: r - 1, lambda r: r + 2,
+], ids=["zero", "negative", "negative-off-grid", "huge", "plus1", "minus1", "plus2"])
+def test_verify_matches_reference_on_tampered_claims(value):
+    # Claims the kernel must refute, or that must not reach it.
+    g = generate_random(45, 0.5, 7)
+    emb = embed(g)
+    assert not emb.points.small
+    assert_same_report(g, tamper_rv(emb, 23, value))
+
+
+def test_verify_matches_reference_on_coincident_points():
+    g = generate_random(45, 0.5, 7)
+    emb = embed(g)
+    coords = list(emb.points.points)
+    coords[30] = coords[4]
+    assert_same_report(g, replace(emb, points=PointSet.from_rows(coords)))
+
+
+@given(embedded_gnp(), coordinate_moves)
+@settings(max_examples=25, deadline=None)
+def test_kernel_and_table_reports_agree(case, moves):
+    # The same reports whether verification reads the kernel or the table.
+    g, emb = case
+    for vertex, j, amount in moves:
+        emb = perturb(emb, vertex % g.n, j % emb.d, amount)
+    reports = []
+    for small in (0, 10**12):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sigdim.sig, "SMALL_TABLE", small)
+            fresh = replace(emb, points=PointSet.from_rows(emb.points.points))
+            reports.append(json.dumps(verify(g, fresh).to_json()))
+    assert reports[0] == reports[1]
