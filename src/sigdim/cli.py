@@ -125,9 +125,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         return EXIT_PIPELINE
     report = verify(g, emb)
     _emit(emb.to_json(), args.out)
-    general, refined = dimension_bound(g.n)
-    bound = general if refined is None else min(general, refined)
-    print(f"d={emb.d} bound={bound} verdict={report.verdict}",
+    print(f"d={emb.d} bound={dimension_bound(g.n)[0]} verdict={report.verdict}",
           file=_summary_stream(args.out))
     if report.verdict != "pass":
         sys.stderr.write(_render_report(report.to_json(), args.format))
@@ -139,11 +137,10 @@ def cmd_sig(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(args.points).read_text())
         rows = data["coords"] if isinstance(data, dict) else data
-        ps = PointSet.from_rows([[rat_from_json(x) for x in row] for row in rows])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        g = compute_sig(PointSet.from_rows([[rat_from_json(x) for x in row] for row in rows]))
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # coincident points raise too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    g = compute_sig(ps)
     sys.stdout.write(g.serialize())
     return EXIT_OK
 
@@ -223,9 +220,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         d, failure = _run_instance(g, args.r)
         if failure is None:
             passed += 1
-            bound, refined = dimension_bound(n)
-            limit = bound if refined is None else min(bound, refined)
-            slack_hist[limit - d] = slack_hist.get(limit - d, 0) + 1
+            slack = dimension_bound(n)[0] - d
+            slack_hist[slack] = slack_hist.get(slack, 0) + 1
             continue
         small, small_failure = _shrink(g, args.r)
         bundle = {

@@ -75,7 +75,11 @@ class Embedding:
 
 
 def dimension_bound(n: int) -> tuple[int, int | None]:
-    """General bound floor(2n/3)+2; refined ceil(2n/3)+1 when 3 does not divide n."""
+    """General bound floor(2n/3)+2; refined ceil(2n/3)+1 when 3 does not divide n.
+
+    The refined bound is the general one: when 3 does not divide n,
+    ceil(2n/3) = floor(2n/3) + 1.  It is returned because reports name it.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     general = 2 * n // 3 + 2
@@ -720,8 +724,7 @@ def embed(g: Graph, r: Fraction | None = None) -> Embedding:
             row.extend(values[v])
 
     d = len(rows[0])
-    general, refined = dimension_bound(g.n)
-    limit = general if refined is None else min(general, refined)
+    limit = dimension_bound(g.n)[0]
     if d > limit:
         raise PipelineError("embedder", f"dimension {d} exceeds bound {limit}",
                             d=d, bound=limit)

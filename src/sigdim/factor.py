@@ -41,20 +41,6 @@ class StarTriangleFactor:
         """Center of the star whose leaf set contains v, if any."""
         return self.leaf_center.get(v)
 
-    def component_of(self, v: int) -> tuple[int, ...]:
-        if v in self.stars:
-            return tuple(sorted((v, *self.stars[v])))
-        center = self.leaf_center.get(v)
-        if center is not None:
-            return tuple(sorted((center, *self.stars[center])))
-        for tri in self.triangles:
-            if v in tri:
-                return tri
-        partner = self.residual.partner_map().get(v)
-        if partner is not None:
-            return norm_edge(v, partner)
-        raise PipelineError("factor", f"vertex {v} not covered by the factor", vertex=v)
-
     def to_json(self) -> dict[str, Any]:
         return {
             "stars": {str(u): sorted(s) for u, s in sorted(self.stars.items())},

@@ -13,7 +13,8 @@ given claimed radii, confirms them on the pairs of that same sweep.  The
 exact distance table (``PointSet.distances``) is built only when radii must
 be found rather than confirmed (no claim, a claim off the grid or below 1,
 or a claim that fails) and for small point sets, where it is cheaper than
-packing the rows.
+packing the rows.  ``verify`` runs the same kernel over the columns of a
+point set, to screen a block's distances from one point to all others.
 
 ``oracle_embed_2ia`` is the unconditional n-dimensional realization taking
 point v to row v of 2I + A; it is the reference oracle for everything else.
@@ -54,8 +55,11 @@ class PointSet:
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise ValueError(f"ragged point set, widths {sorted(widths)}")
+        d = widths.pop()
+        if d == 0:
+            raise ValueError("points need at least one coordinate")
         scale = common_scale(x for r in rows for x in r)
-        return PointSet(widths.pop(), tuple(tuple(to_grid(r, scale)) for r in rows), scale)
+        return PointSet(d, tuple(tuple(to_grid(r, scale)) for r in rows), scale)
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -113,16 +117,18 @@ class PointSet:
 class ThresholdKernel:
     """Decides rho(u,v) < t for integer rows, each packed into one int.
 
-    With m = max |coord|, a coordinate difference d_j lies in [-2m, 2m].
-    ``rows[u]`` packs m + a_j and m - a_j for every coordinate j into fields
-    of B bits, the smallest B with K = 2**(B-1) > 6m + 1; the biases cancel
-    in a difference of two packed rows.  A threshold t is clamped into
-    [0, 2m + 1]: below 0 the test is false as at 0, above 2m + 1 it is true
-    as at 2m + 1.  Then ``rows[u] + (K + t - 1) * ones - rows[v]`` holds
-    K + t - 1 + d_j and K + t - 1 - d_j in the two fields of coordinate j.
-    Each lies in [0, 2**B), so no field borrows from the next, and |d_j| < t
-    iff both are >= K, i.e. have their top bit set: one subtraction and one
-    AND with ``top`` decide every coordinate at once.
+    The packed-field format is defined here and only here.  With
+    m = max |coord|, a coordinate difference d_j lies in [-2m, 2m].
+    ``rows[u]`` packs m + a_j into field j and m - a_j into field d + j;
+    fields are ``width`` = B bits, the smallest B with K = 2**(B-1) > 6m + 1
+    (``half`` is K), and the biases cancel in a difference of two rows.  A
+    threshold t is clamped into [0, 2m + 1]: below 0 the test is false as at
+    0, above 2m + 1 it is true as at 2m + 1.  Then ``rows[u] + (K + t - 1) *
+    ones - rows[v]`` holds K + t - 1 + d_j and K + t - 1 - d_j in the two
+    fields of coordinate j.  Each lies in [0, 2**B), so no field borrows from
+    the next, and |d_j| < t iff both are >= K, i.e. have their top bit set:
+    one subtraction and one AND with ``top`` decide every coordinate at once;
+    ``both`` reads the coordinates one by one.
 
     A threshold may also be split as t + s[v], with s[v] folded into row v
     (``lowered``).  Both parts are then non-negative and clamped on their
@@ -130,22 +136,46 @@ class ThresholdKernel:
     """
 
     def __init__(self, grid):
-        m = max(max(map(abs, row), default=0) for row in grid)
-        width, d = (6 * m + 1).bit_length() + 1, len(grid[0])  # bits per field: K > 6m + 1
-        half = pack_fields([1] * d, width)
-        self._ones = half + (half << (width * d))
-        self._half, self._limit = 1 << (width - 1), 2 * m + 1
-        self.top = self._ones * self._half
+        self.m = m = max(max(map(abs, row), default=0) for row in grid)
+        self.width, d = (6 * m + 1).bit_length() + 1, len(grid[0])  # bits per field: K > 6m + 1
+        self.half, self.limit, self._shift = 1 << (self.width - 1), 2 * m + 1, self.width * d
+        self.lo = self.pack([1] * d)  # a one in each field j < d
+        self.ones = self.lo + (self.lo << self._shift)
+        self.top = self.ones * self.half
         self.rows = []
         for row in grid:
-            plus = pack_fields(map(add, row, repeat(m)), width)
-            self.rows.append(plus + ((2 * m * half - plus) << (width * d)))
+            plus = self.pack(map(add, row, repeat(m)))
+            self.rows.append(plus + ((2 * m * self.lo - plus) << self._shift))
+
+    def clamp(self, t: int) -> int:
+        return min(max(t, 0), self.limit)
+
+    def pack(self, values: Iterable[int]) -> int:
+        """values[i] in field i."""
+        return pack_fields(values, self.width)
+
+    def both(self, x: int) -> int:
+        """Top bit of field j < d set iff fields j and d + j of x both have theirs set."""
+        return x & (x >> self._shift) & self.top
+
+    @cached_property
+    def _spread(self) -> list[bytes]:
+        # Entry b: top bits of the fields i < 8 with bit i of b set, in ``width`` bytes.
+        table = [0]
+        for i in range(8):
+            table += [x + (self.half << (self.width * i)) for x in table]
+        return [x.to_bytes(self.width, "little") for x in table]
+
+    def spread(self, mask: int) -> int:
+        """Top bit of field i set for each set bit i of a mask >= 0."""
+        return int.from_bytes(b"".join([self._spread[b] for b in mask.to_bytes(
+            -(-mask.bit_length() // 8), "little")]), "little")
 
     def lowered(self, s: list[int]) -> list[int]:
         """The rows, row v lowered by s[v] >= 0, for thresholds t + s[v] in ``near``."""
         if min(s) < 0:
             raise ValueError("threshold parts must be non-negative")
-        return [row - min(x, self._limit) * self._ones for row, x in zip(self.rows, s)]
+        return [row - self.clamp(x) * self.ones for row, x in zip(self.rows, s)]
 
     def near(self, u: int, vs: Iterable[int], t: int, rows: list[int] | None = None) -> list[int]:
         """The v of ``vs`` with rho(u,v) < t, or < t + s[v] given rows = lowered(s), t >= 0."""
@@ -153,7 +183,7 @@ class ThresholdKernel:
             rows = self.rows
         elif t < 0:
             raise ValueError("threshold parts must be non-negative")
-        hi, top = self.rows[u] + (self._half + min(max(t, 0), self._limit) - 1) * self._ones, self.top
+        hi, top = self.rows[u] + (self.half + self.clamp(t) - 1) * self.ones, self.top
         return [v for v in vs if (hi - rows[v]) & top == top]
 
 

@@ -27,9 +27,9 @@ fails, lies off the grid or below 1, or when the point set is small.  A
 block's distance never exceeds rho, so rho(u,nu) <= r(u), or rho(u,v) < r(u)
 + r(v) on an edge, clears that pair of (1) or (5) in every block; only the
 other pairs are re-evaluated, block by block, as a full per-block scan orders
-them.  For (2)-(4), ``_Screen`` holds every v against u's thresholds at once;
-only a u it flags gets the exact per-pair pass, so the failure list is that of
-a full scan.
+them.  For (2)-(4), ``_Screen`` runs the kernel over the columns, so one
+subtraction holds u against every v; only a u it flags gets the exact
+per-pair pass, so the failure list is that of a full scan.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import lcm
-from operator import add, sub
+from operator import sub
 from typing import Any
 
 from .embedding import Embedding, block_dims, dimension_bound
 from .graphs import Graph
 from .rationals import rat_to_json, to_grid
-from .sig import compute_radii, compute_sig, pack_fields
+from .sig import ThresholdKernel, compute_radii, compute_sig
 
 
 @dataclass(frozen=True)
@@ -126,65 +126,47 @@ class _Grid:
 class _Screen:
     """Block distances from one u to every v at once, against (2) and (4).
 
-    The field trick of ``sig.ThresholdKernel`` turned on its side: a packed
-    block column holds m + c[v] in field v and m - c[v] in field n + v.
-    Taking it from u's value spread over every field, plus K + t - 1, leaves
-    K + t - 1 +- (c[u] - c[v]) in the two fields of v; both keep their top bit
-    iff |c[u] - c[v]| < t.  Radii fold in field by field.  Thresholds and
-    radii are clamped into [0, 2m + 1], which can only flag more pairs: the
+    ``sig.ThresholdKernel`` over the columns: its row j is column j packed
+    over all points, field v holding c_j[v].  Taking a row from u's value
+    spread over every field, plus the threshold, leaves the kernel's test of
+    |c_j[u] - c_j[v]| < t in the fields of v; radii fold in field by field.
+    Thresholds and radii are clamped, which can only flag more pairs: the
     screen picks the u that the exact per-pair pass must visit, nothing more.
     """
 
     def __init__(self, grid: _Grid, g: Graph, emb: Embedding):
         n, self.rv, self.grid = g.n, grid.rv, grid
+        self.kernel = kernel = ThresholdKernel(grid.cols)
         leaves: dict[int, list[int]] = {}
         for v, c in emb.factor.leaf_center.items():
             leaves.setdefault(c, []).append(v)
         self.mates = [[v for v in leaves.get(c, ()) if v != u] for u, c in enumerate(grid.center)]
-        self.m = max((max(map(abs, c)) for c in grid.cols), default=0)
-        size = ((6 * self.m + 1).bit_length() + 8) // 8  # bytes per field, so that K > 6m + 1
-        self.width, self.shift = 8 * size, 8 * size * n
-        self.half, self.limit = 1 << (self.width - 1), 2 * self.m + 1
-        self.lo = pack_fields([1] * n, self.width)
-        self.hi, self.top = self.lo << self.shift, self.lo * self.half
-        folded = pack_fields([self.clamp(r) for r in grid.rv], self.width)
-        self.by_rv = folded + (folded << self.shift)
-        picked = [0] * emb.picks.count  # top bits of the vertices picked at k
-        for v, k in grid.index.items():
-            picked[k] += self.half << (self.width * v)
-        self.early = list(accumulate(picked))  # picked at k or before
-        self.late = [self.top - e + p for e, p in zip(self.early, picked)]
-        # Top bits of the vertices apart from u, eight vertices per mask byte.
-        spread = [pack_fields([self.half * (b >> i & 1) for i in range(8)], self.width)
-                  .to_bytes(self.width, "little") for b in range(256)]
-        self.apart = [int.from_bytes(b"".join([spread[b] for b in (~mask & ~(1 << u) & ((1 << n) - 1))
-                                               .to_bytes(-(-n // 8), "little")]), "little")
-                      for u, mask in enumerate(g.masks)]
+        self.by_rv = kernel.pack([kernel.clamp(r) for r in grid.rv] * 2)  # r(v) in both fields of v
+        # Top bits of the vertices picked at k, at k or before, and at k or after.
+        picked = [kernel.spread(sum(1 << v for v in p.vertices)) for p in emb.picks.picks]
+        every = (1 << n) - 1
+        self.early, top = list(accumulate(picked)), kernel.spread(every)
+        self.late = [top - e + p for e, p in zip(self.early, picked)]
+        self.apart = [kernel.spread(every & ~mask & ~(1 << u)) for u, mask in enumerate(g.masks)]
 
-    def clamp(self, t: int) -> int:
-        return min(max(t, 0), self.limit)
+    def within(self, rows: list[int], values: list[int], t: int, fold: bool) -> int:
+        """Top bit of field v set iff |values[j] - c_j[v]| < t (+ r(v) if fold) for all j."""
+        kernel = self.kernel
+        out, base = kernel.top, kernel.half - 1 + kernel.clamp(t) + kernel.m
+        for row, a in zip(rows, values):  # m + a spread over fields v, m - a over fields n + v
+            out &= (base - a) * kernel.ones + 2 * a * kernel.lo - (row - self.by_rv if fold else row)
+        return kernel.both(out)
 
-    def column(self, col) -> int:
-        plus = pack_fields(map(add, col, repeat(self.m)), self.width)
-        return plus + ((2 * self.m * self.lo - plus) << self.shift)
-
-    def within(self, packed: list[int], values: list[int], t: int, fold: bool) -> int:
-        """Top bit of field v set iff |values[j] - col_j[v]| < t (+ r(v) if fold) for all j."""
-        out, base = self.top, self.half - 1 + t + self.m
-        for col, a in zip(packed, values):
-            x = (base + a) * self.lo + (base - a) * self.hi - (col - self.by_rv if fold else col)
-            out &= x & (x >> self.shift)
-        return out
-
-    def may_fail(self, k: int, u: int, cols: list, packed: list[int]) -> bool:
+    def may_fail(self, k: int, u: int, cols: list) -> bool:
         """Whether some v may fail (2), (3) or (4) against u, picked at k.
 
         (3) reaches only u's star mates, which are checked one by one.
         """
-        grid, values, t = self.grid, [c[u] for c in cols], self.clamp(self.rv[u])
-        two = self.within(packed, values, t, False) | self.within(packed, values, 0, True)
-        return bool(two & (self.early[k] - (self.half << (self.width * u)))
-                    or self.within(packed, values, t, True) & self.late[k] & self.apart[u]
+        grid, t = self.grid, self.rv[u]
+        rows, values = [self.kernel.rows[j] for j in grid.dims[k]], [c[u] for c in cols]
+        two = self.within(rows, values, t, False) | self.within(rows, values, 0, True)
+        return bool(two & (self.early[k] - self.kernel.spread(1 << u))
+                    or self.within(rows, values, t, True) & self.late[k] & self.apart[u]
                     or any(v not in grid.adj[u] and grid.index[v] <= k
                            and max(abs(c[u] - c[v]) for c in cols) < self.rv[u] + self.rv[v]
                            for v in self.mates[u]))
@@ -211,10 +193,9 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
         if lhs > rv[u]:
             record(1, u, nu, lhs, rv[u])
 
-    packed = [grid.screen.column(c) for c in cols] if grid.screen else []
     for u in emb.picks.picks[k].vertices:
         ru, cu, adj = rv[u], center[u], grid.adj[u]
-        if grid.screen and not grid.screen.may_fail(k, u, cols, packed):
+        if grid.screen and not grid.screen.may_fail(k, u, cols):
             continue
         diffs = [map(abs, map(sub, c, repeat(c[u]))) for c in cols]
         for v, lhs in enumerate(diffs[0] if len(diffs) == 1 else map(max, *diffs)):
@@ -265,7 +246,7 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
         ]
 
     general, refined = dimension_bound(g.n)
-    bound_ok = emb.d <= general and (refined is None or emb.d <= refined)
+    bound_ok = emb.d <= general
     if not bound_ok:
         diagnostics["dimension"] = {"d": emb.d, "general": general, "refined": refined}
 

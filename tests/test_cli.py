@@ -235,6 +235,17 @@ def test_zero_denominator_rejected(tmp_path, capsys, k2_file, command):
     assert one_line_error(*run(capsys, *argv))
 
 
+@pytest.mark.parametrize("points,message", [
+    ([[1, 2], [3, 4], [1, 2]], "duplicate points 0 and 2"),
+    ({"coords": [[], []]}, "at least one coordinate"),
+], ids=["coincident", "zero-width"])
+def test_sig_degenerate_points_rejected(tmp_path, capsys, points, message):
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps(points))
+    code, stdout, stderr = run(capsys, "sig", path)
+    assert one_line_error(code, stdout, stderr) and message in stderr
+
+
 def _short(key):
     def mutate(data):
         data["trace"][key].pop()

@@ -100,6 +100,7 @@ def test_dimension_bound_formula():
     for n in range(2, 200):
         general, refined = dimension_bound(n)
         assert general == floor(2 * n / 3) + 2
+        assert refined in (None, general)
         if n % 3 == 0:
             assert refined is None
         else:

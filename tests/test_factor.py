@@ -32,7 +32,6 @@ def test_star_absorbs_all_leaves():
 
 def test_component_lookup():
     g, f = factor_of(K13)
-    assert f.component_of(2) == (0, 1, 2, 3)
     assert f.star_of(3) == 0 and f.star_of(0) is None
 
 

@@ -144,6 +144,17 @@ def test_pack_fields(width, values):
     assert pack_fields(values, width) == sum(x << (width * i) for i, x in enumerate(values))
 
 
+@given(st.integers(2, 70), st.lists(st.booleans(), min_size=1, max_size=100))
+@settings(max_examples=100, deadline=None)
+def test_spread_sets_top_bits(width, bits):
+    # The smallest coordinate bound with fields this wide; no kernel has 3-bit fields.
+    kernel = ThresholdKernel([[-(-(2 ** (width - 2) - 1) // 6)]])
+    assert kernel.width == (4 if width == 3 else width)
+    mask = sum(1 << i for i, b in enumerate(bits) if b)
+    expected = sum(kernel.half << (kernel.width * i) for i, b in enumerate(bits) if b)
+    assert kernel.spread(mask) == expected
+
+
 def test_radius_claims_confirmed_or_replaced(monkeypatch):
     monkeypatch.setattr(sigdim.sig, "SMALL_TABLE", 0)  # the kernel, even for four points
     ps = points([[0, 0], [3, 1], [10, -2], [4, 9]])

@@ -240,13 +240,19 @@ coordinate_moves = st.lists(st.tuples(st.integers(0, 24), st.integers(0, 40),
        st.sampled_from([-1, 1]))
 @settings(max_examples=40, deadline=None)
 def test_verify_matches_reference(case, moves, edge, dim, sign):
+    # Once with the exact table for these small point sets, once through the
+    # kernel and the block screen of families (2)-(4).
     g, emb = case
-    assert_same_report(g, emb)
-    moved = emb
-    for vertex, j, amount in moves:
-        moved = perturb(moved, vertex % g.n, j % emb.d, amount)
-    assert_same_report(g, moved)
-    assert_same_report(g, boundary_move(emb, g, edge, dim % emb.d, sign))
+    for small in (sigdim.sig.SMALL_TABLE, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sigdim.sig, "SMALL_TABLE", small)
+            emb = replace(emb, points=PointSet.from_rows(emb.points.points))
+            assert_same_report(g, emb)
+            moved = emb
+            for vertex, j, amount in moves:
+                moved = perturb(moved, vertex % g.n, j % emb.d, amount)
+            assert_same_report(g, moved)
+            assert_same_report(g, boundary_move(emb, g, edge, dim % emb.d, sign))
 
 
 def test_verify_matches_reference_off_grid_radius():
