@@ -105,8 +105,10 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
                          "and trace.factor cover them")
     if [p.k for p in picks.picks] != list(range(picks.count)):
         raise ValueError("picks must be numbered 0, 1, ... in order")
-    sched = RadiusSchedule(rat_from_json(data["r"]), rat_from_json(data["delta"]),
-                           dict(enumerate(trace["m"])),
+    r, delta = rat_from_json(data["r"]), rat_from_json(data["delta"])
+    if not (r > 0 and delta > 0 and all(type(x) is int for x in trace["m"])):
+        raise ValueError("r and delta must be positive and trace.m entries integers")
+    sched = RadiusSchedule(r, delta, dict(enumerate(trace["m"])),
                            {v: rat_from_json(x) for v, x in enumerate(trace["rv"])})
     emb = Embedding(g, factor, picks, pn, sched, points)
     if data["blocks"] != emb.blocks_json():
@@ -207,6 +209,9 @@ def _shrink(g: Graph, r: Fraction | None) -> tuple[Graph, dict[str, Any]]:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     if not 2 <= args.n_min <= args.n_max:
         print("error: need 2 <= n-min <= n-max", file=sys.stderr)
+        return EXIT_INPUT
+    if args.count < 0:
+        print(f"error: --count must be non-negative, got {args.count}", file=sys.stderr)
         return EXIT_INPUT
     outdir = Path(args.bundle_dir)
     passed = 0

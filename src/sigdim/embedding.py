@@ -119,9 +119,7 @@ class _Ctx:
         self.index = picks.index_of()
         self.r = 6 * g.n
         self.rv = [self.r - 2 * sched.m[v] for v in range(g.n)]
-
-    def edge(self, u: int, v: int) -> bool:
-        return self.g.has_edge(u, v)
+        self.edge = g.has_edge
 
     def before(self, v: int, k: int) -> bool:
         return self.index[v] < k

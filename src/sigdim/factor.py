@@ -33,14 +33,6 @@ class StarTriangleFactor:
     def leaf_center(self) -> dict[int, int]:
         return {x: u for u, leaves in self.stars.items() for x in leaves}
 
-    @cached_property
-    def all_leaves(self) -> frozenset[int]:
-        return frozenset(self.leaf_center)
-
-    def star_of(self, v: int) -> int | None:
-        """Center of the star whose leaf set contains v, if any."""
-        return self.leaf_center.get(v)
-
     def to_json(self) -> dict[str, Any]:
         return {
             "stars": {str(u): sorted(s) for u, s in sorted(self.stars.items())},
@@ -65,7 +57,7 @@ def star_triangle_factor(g: Graph, m0: Matching) -> StarTriangleFactor:
 
     unmatched = [v for v in range(g.n) if v not in partner]
     for v in unmatched:
-        u = g.neighbors(v)[0]
+        u = g.adj[v][0]
         if u not in partner:
             raise PipelineError(
                 "factor",
@@ -148,7 +140,7 @@ def validate_factor(g: Graph, f: StarTriangleFactor) -> None:
 
     # All leaves together are independent; this covers both the induced-star
     # requirement and non-adjacency of leaves from different stars.
-    leaves = sorted(f.all_leaves)
+    leaves = sorted(f.leaf_center)
     for a, b in combinations(leaves, 2):
         if g.has_edge(a, b):
             raise PipelineError(

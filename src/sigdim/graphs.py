@@ -62,12 +62,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def isolated_vertices(self) -> list[int]:
         return [v for v in range(self.n) if not self.adj[v]]
 
@@ -81,12 +75,9 @@ class Graph:
         if bad is not None:
             raise GraphInputError("isolated", f"isolated vertex {bad}")
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
     def serialize(self) -> str:
         lines = [f"{self.n} {len(self.edges)}"]
-        lines.extend(f"{u} {v}" for u, v in self.sorted_edges())
+        lines.extend(f"{u} {v}" for u, v in sorted(self.edges))
         return "\n".join(lines) + "\n"
 
     def delete_vertex(self, v: int) -> Graph:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import PipelineError
 from .graphs import Edge, Graph, norm_edge
@@ -19,10 +18,6 @@ from .graphs import Edge, Graph, norm_edge
 @dataclass(frozen=True)
 class Matching:
     edges: frozenset[Edge]
-
-    @cached_property
-    def saturated(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
 
     def partner_map(self) -> dict[int, int]:
         out: dict[int, int] = {}

@@ -341,6 +341,7 @@ def validate_picks(g: Graph, f: StarTriangleFactor, seq: PickSequence) -> None:
 def _check_class_shape(g: Graph, f: StarTriangleFactor, p: PickedSet) -> None:
     vs = p.vertices
     edges = _edges_within(g, vs)
+    center = f.leaf_center.get
     real_owners = [f.leaf_center[v] for v in vs if v in f.leaf_center]
 
     def bad(msg: str) -> PipelineError:
@@ -372,7 +373,7 @@ def _check_class_shape(g: Graph, f: StarTriangleFactor, p: PickedSet) -> None:
         v0, w1, w2, w = (p.roles[r] for r in ("v0", "w1", "w2", "w"))
         if edges:
             raise bad("must be independent")
-        if f.star_of(w1) != w or f.star_of(w2) != w or f.star_of(v0) == w:
+        if center(w1) != w or center(w2) != w or center(v0) == w:
             raise bad("needs two leaves of the last star plus an outsider")
     elif p.cls is PickClass.ONE_LEAF_EDGE_TRIPLE:
         w0, v1, v2, w = (p.roles[r] for r in ("w0", "v1", "v2", "w"))
@@ -380,7 +381,7 @@ def _check_class_shape(g: Graph, f: StarTriangleFactor, p: PickedSet) -> None:
             raise bad("needs exactly the edges v1v2 and w0v1")
         if not g.has_edge(w0, v1) or g.has_edge(w0, v2):
             raise bad("w0 must touch exactly v1")
-        if f.star_of(w0) != w:
+        if center(w0) != w:
             raise bad("w0 must be a leaf of the last star")
     elif p.cls is PickClass.RESIDUAL:
         if len(set(real_owners)) not in (1, 2) or len(real_owners) != len(vs):

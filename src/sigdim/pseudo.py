@@ -35,9 +35,6 @@ class PseudoNeighborhood:
     def related(self, v: int) -> frozenset[int]:
         return self.n1[v] | self.n2[v]
 
-    def is_central(self, v: int) -> bool:
-        return self.n2[v] == frozenset((v,))
-
     def reach(self, vertices) -> frozenset[int]:
         """N_k of a picked group: union of N(v) and N2(v) over the group."""
         out: set[int] = set()

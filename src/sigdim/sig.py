@@ -271,7 +271,7 @@ def oracle_embed_2ia(g: Graph) -> PointSet:
     for v in range(g.n):
         row = [0] * g.n
         row[v] = 2
-        for u in g.neighbors(v):
+        for u in g.adj[v]:
             row[u] = 1
         rows.append(row)
     return PointSet.from_rows(rows)

@@ -28,8 +28,10 @@ block's distance never exceeds rho, so rho(u,nu) <= r(u), or rho(u,v) < r(u)
 + r(v) on an edge, clears that pair of (1) or (5) in every block; only the
 other pairs are re-evaluated, block by block, as a full per-block scan orders
 them.  For (2)-(4), ``_Screen`` runs the kernel over the columns, so one
-subtraction holds u against every v; only a u it flags gets the exact
-per-pair pass, so the failure list is that of a full scan.
+subtraction holds u against every v, and decides each family with vertex
+masks: picked before, at or after k, non-neighbours, and for (3) u's star
+mates.  Only a u it flags gets the exact per-pair pass, so the failure list
+is that of a full scan.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class _Grid:
         self.rv = to_grid((scheduled[v] for v in range(n)), self.scale)
         self.index = emb.picks.index_of()
         self.center = [emb.factor.leaf_center.get(v) for v in range(n)]
-        self.adj = [set(a) for a in g.adj]
         self.screen = None if points.small else _Screen(self, g, emb)
         rv, n1 = self.rv, emb.pseudo.n1
         # A block's distance never exceeds rho, so only these pairs can fail
@@ -124,7 +125,7 @@ class _Grid:
 
 
 class _Screen:
-    """Block distances from one u to every v at once, against (2) and (4).
+    """Block distances from one u to every v at once, against (2), (3) and (4).
 
     ``sig.ThresholdKernel`` over the columns: its row j is column j packed
     over all points, field v holding c_j[v].  Taking a row from u's value
@@ -135,12 +136,8 @@ class _Screen:
     """
 
     def __init__(self, grid: _Grid, g: Graph, emb: Embedding):
-        n, self.rv, self.grid = g.n, grid.rv, grid
+        n, self.rv, self.dims = g.n, grid.rv, grid.dims
         self.kernel = kernel = ThresholdKernel(grid.cols)
-        leaves: dict[int, list[int]] = {}
-        for v, c in emb.factor.leaf_center.items():
-            leaves.setdefault(c, []).append(v)
-        self.mates = [[v for v in leaves.get(c, ()) if v != u] for u, c in enumerate(grid.center)]
         self.by_rv = kernel.pack([kernel.clamp(r) for r in grid.rv] * 2)  # r(v) in both fields of v
         # Top bits of the vertices picked at k, at k or before, and at k or after.
         picked = [kernel.spread(sum(1 << v for v in p.vertices)) for p in emb.picks.picks]
@@ -148,6 +145,11 @@ class _Screen:
         self.early, top = list(accumulate(picked)), kernel.spread(every)
         self.late = [top - e + p for e, p in zip(self.early, picked)]
         self.apart = [kernel.spread(every & ~mask & ~(1 << u)) for u, mask in enumerate(g.masks)]
+        self.mates = [0] * n  # top bits of the leaves of u's star, for a leaf u
+        for leaves in emb.factor.stars.values():
+            star = kernel.spread(sum(1 << v for v in leaves))
+            for v in leaves:
+                self.mates[v] = star
 
     def within(self, rows: list[int], values: list[int], t: int, fold: bool) -> int:
         """Top bit of field v set iff |values[j] - c_j[v]| < t (+ r(v) if fold) for all j."""
@@ -160,16 +162,16 @@ class _Screen:
     def may_fail(self, k: int, u: int, cols: list) -> bool:
         """Whether some v may fail (2), (3) or (4) against u, picked at k.
 
-        (3) reaches only u's star mates, which are checked one by one.
+        (3) and (4) share the test |c(u) - c(v)| < r(u) + r(v) on non-edges:
+        (4) for every v picked at k or after, (3) for u's star mates picked at
+        k or before.
         """
-        grid, t = self.grid, self.rv[u]
-        rows, values = [self.kernel.rows[j] for j in grid.dims[k]], [c[u] for c in cols]
+        t = self.rv[u]
+        rows, values = [self.kernel.rows[j] for j in self.dims[k]], [c[u] for c in cols]
         two = self.within(rows, values, t, False) | self.within(rows, values, 0, True)
         return bool(two & (self.early[k] - self.kernel.spread(1 << u))
-                    or self.within(rows, values, t, True) & self.late[k] & self.apart[u]
-                    or any(v not in grid.adj[u] and grid.index[v] <= k
-                           and max(abs(c[u] - c[v]) for c in cols) < self.rv[u] + self.rv[v]
-                           for v in self.mates[u]))
+                    or self.within(rows, values, t, True) & self.apart[u]
+                    & (self.late[k] | self.early[k] & self.mates[u]))
 
 
 def check_inequalities(g: Graph, emb: Embedding, k: int,
@@ -194,14 +196,14 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
             record(1, u, nu, lhs, rv[u])
 
     for u in emb.picks.picks[k].vertices:
-        ru, cu, adj = rv[u], center[u], grid.adj[u]
+        ru, cu, mask = rv[u], center[u], g.masks[u]
         if grid.screen and not grid.screen.may_fail(k, u, cols):
             continue
         diffs = [map(abs, map(sub, c, repeat(c[u]))) for c in cols]
         for v, lhs in enumerate(diffs[0] if len(diffs) == 1 else map(max, *diffs)):
             if v == u:
                 continue
-            both, apart = ru + rv[v], v not in adj
+            both, apart = ru + rv[v], not mask >> v & 1
             share = cu is not None and cu == center[v]
             if index[v] <= k:
                 if lhs < max(ru, rv[v]):

@@ -197,6 +197,11 @@ def test_bad_radius_rejected(capsys, k2_file, command, radius):
     assert one_line_error(*run(capsys, *argv, "--r", radius))
 
 
+def test_negative_fuzz_count_rejected(capsys):
+    assert one_line_error(*run(capsys, "fuzz", "--n-min", "4", "--n-max", "4", "--p", "1/2",
+                               "--seed", "1", "--count", "-3"))
+
+
 @pytest.mark.parametrize("prob", ["abc", "1/0", "-1/2", "3/2"])
 def test_bad_edge_probability_rejected(capsys, prob):
     assert one_line_error(*run(capsys, "fuzz", "--n-min", "4", "--n-max", "4", f"--p={prob}",
@@ -292,6 +297,18 @@ def _shifted_dims(data):
     data["blocks"][-1]["dims"] = [j - 1 for j in data["blocks"][-1]["dims"]]
 
 
+def _top(key, value):
+    def mutate(data):
+        data[key] = value
+    return mutate
+
+
+def _m_entries(value):
+    def mutate(data):
+        data["trace"]["m"] = [value] * len(data["trace"]["m"])
+    return mutate
+
+
 def _factor_field(key, value):
     def mutate(data):
         data["trace"]["factor"][key] = value(data["trace"]["factor"][key])
@@ -303,11 +320,14 @@ def _factor_field(key, value):
                                     _empty_pick, _block_class, _shifted_dims,
                                     _factor_field("stars", lambda s: list(s.values())),
                                     _factor_field("stars", lambda s: 0),
-                                    _factor_field("triangles", lambda t: {})],
+                                    _factor_field("triangles", lambda t: {}),
+                                    _top("r", -5), _top("delta", 0), _m_entries("x"),
+                                    _m_entries(True)],
                          ids=["short-rv", "short-m", "dims-range", "wrong-d", "ragged",
                               "unknown-pick", "missing-row", "empty-dims", "empty-pick",
                               "block-class", "shifted-dims", "stars-list", "stars-int",
-                              "triangles-object"])
+                              "triangles-object", "negative-r", "zero-delta", "string-m",
+                              "bool-m"])
 def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     graph = tmp_path / "k13.txt"
     graph.write_text(K13)

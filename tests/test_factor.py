@@ -32,7 +32,7 @@ def test_star_absorbs_all_leaves():
 
 def test_component_lookup():
     g, f = factor_of(K13)
-    assert f.star_of(3) == 0 and f.star_of(0) is None
+    assert f.leaf_center.get(3) == 0 and f.leaf_center.get(0) is None
 
 
 def test_invariants_on_corpus(corpus5):
@@ -45,7 +45,7 @@ def test_leaves_of_distinct_stars_non_adjacent(corpus5):
     # Already part of validate_factor; asserted directly for the record.
     for g in corpus5:
         f = star_triangle_factor(g, maximum_matching(g))
-        leaves = sorted(f.all_leaves)
+        leaves = sorted(f.leaf_center)
         for i, a in enumerate(leaves):
             for b in leaves[i + 1:]:
                 assert not g.has_edge(a, b)

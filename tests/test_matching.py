@@ -54,7 +54,7 @@ def test_matches_oracle_on_corpus(corpus5):
 def test_unsaturated_set_independent(corpus5):
     for g in corpus5:
         m = maximum_matching(g)
-        free = [v for v in range(g.n) if v not in m.saturated]
+        free = [v for v in range(g.n) if v not in m.partner_map()]
         for i, u in enumerate(free):
             for v in free[i + 1:]:
                 assert not g.has_edge(u, v), g.serialize()

@@ -25,7 +25,7 @@ def test_matching_case():
     _, _, _, pn, _ = pipeline_to_schedule(K2)
     assert pn.n1[0] == {1} and pn.n1[1] == {0}
     assert pn.n2[0] == {0}
-    assert pn.is_central(0) and pn.is_central(1)
+    assert pn.n2[1] == {1}
 
 
 def test_star_case():
@@ -33,7 +33,7 @@ def test_star_case():
     assert pn.n1[0] == {1, 2, 3}
     assert pn.n1[1] == {0}
     assert pn.n2[1] == {1, 2, 3}
-    assert pn.is_central(0) and not pn.is_central(1)
+    assert pn.n2[0] == {0}
 
 
 def test_triangle_tie_break_by_index():
@@ -41,7 +41,7 @@ def test_triangle_tie_break_by_index():
     _, _, _, pn, _ = pipeline_to_schedule(C3)
     assert pn.n1[0] == {1, 2}
     assert pn.n1[1] == {0} and pn.n1[2] == {0}
-    assert pn.is_central(0)
+    assert pn.n2[0] == {0}
 
 
 def test_every_vertex_in_own_second_neighborhood(corpus5):
@@ -51,7 +51,6 @@ def test_every_vertex_in_own_second_neighborhood(corpus5):
         pn = build_pseudo(f, seq)
         for v in range(g.n):
             assert v in pn.n2[v]
-            assert pn.is_central(v) == (pn.n2[v] == frozenset({v}))
 
 
 def test_k2_schedule():

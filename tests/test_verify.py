@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import sigdim.sig
 from sigdim import PointSet, check_inequalities, embed, generate_random, parse_graph, verify
 from sigdim.embedding import block_dims
-from conftest import C3, K13, K2
+from conftest import C3, K13, K2, planted_stars
 
 
 def test_k2_passes():
@@ -270,6 +270,26 @@ def test_verify_matches_reference_on_duplicates():
     coords = list(emb.points.points)
     coords[7] = coords[2]
     assert_same_report(g, replace(emb, points=PointSet.from_rows(coords)))
+
+
+def test_verify_matches_reference_on_star_mates():
+    # The later of two star mates is copied onto the earlier one, which is then
+    # moved by r along one coordinate of the later one's block k: that pair
+    # sits on the (2) boundary and inside (3), and the screen reaches it
+    # through the star's mate mask.
+    g = planted_stars(80, 2)
+    emb = embed(g)
+    assert not emb.points.small
+    index, rv = emb.picks.index_of(), emb.schedule.rv
+    first, *_, last = sorted(emb.factor.stars[min(emb.factor.stars)], key=index.get)
+    k = index[last]
+    coords = [list(row) for row in emb.points.points]
+    coords[first] = list(coords[last])
+    coords[first][block_dims(emb.picks)[k][0]] += rv[last]
+    moved = replace(emb, points=PointSet.from_rows(coords))
+    assert_same_report(g, moved)
+    assert {"k": k, "inequality": 3, "pair": [last, first], "lhs": _rat(rv[last]),
+            "rhs": _rat(2 * rv[last])} in verify(g, moved).to_json()["inequality_failures"]
 
 
 def count_exact_distances(monkeypatch) -> list:
