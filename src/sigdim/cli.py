@@ -76,6 +76,14 @@ def _summary_stream(out: str | None):
     return sys.stdout if out else sys.stderr
 
 
+def _vertex_ids(values) -> tuple[int, ...]:
+    """A JSON list of vertex ids; a float or a bool equal to an id is not one."""
+    ids = tuple(values)
+    if not all(type(v) is int for v in ids):
+        raise ValueError(f"vertex ids must be integers, got {list(ids)}")
+    return ids
+
+
 def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     """Rebuild a full Embedding from the JSON written by `embed`; reject a malformed one."""
     trace = data["trace"]
@@ -88,12 +96,12 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
             and isinstance(fd["matching"], list)):
         raise ValueError("trace.factor needs a stars object and triangles and matching lists")
     factor = StarTriangleFactor(
-        stars={int(u): frozenset(s) for u, s in fd["stars"].items()},
-        triangles=frozenset(tuple(t) for t in fd["triangles"]),
-        residual=Matching(frozenset(tuple(e) for e in fd["matching"])),
+        stars={int(u): frozenset(_vertex_ids(s)) for u, s in fd["stars"].items()},
+        triangles=frozenset(_vertex_ids(t) for t in fd["triangles"]),
+        residual=Matching(frozenset(_vertex_ids(e) for e in fd["matching"])),
     )
     picks = PickSequence(tuple(
-        PickedSet(p["k"], tuple(p["vertices"]), PickClass(p["class"]),
+        PickedSet(p["k"], _vertex_ids(p["vertices"]), PickClass(p["class"]),
                   p["step"], dict(p["roles"]))
         for p in trace["picks"]
     ))
@@ -196,7 +204,7 @@ def _shrink(g: Graph, r: Fraction | None) -> tuple[Graph, dict[str, Any]]:
         improved = False
         for v in range(g.n):
             cand = g.delete_vertex(v)
-            if cand.n < 2 or cand.isolated_vertices():
+            if cand.n < 2 or not all(cand.adj):
                 continue
             _, f = _run_instance(cand, r)
             if f is not None:

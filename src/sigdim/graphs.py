@@ -62,9 +62,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
 
-    def isolated_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if not self.adj[v]]
-
     def require_embeddable(self) -> None:
         """Inputs to the embedding pipeline need n >= 2 and minimum degree 1."""
         if self.n < 2:

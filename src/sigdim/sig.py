@@ -6,15 +6,15 @@ rho(u,v) < r_u + r_v with rho the coordinatewise max metric.  The comparison
 is strict and exact: the constructions verified here place non-edges exactly
 on the boundary rho = r_u + r_v, where floating point would misclassify.
 
-Both are threshold questions, so neither needs rho itself.
-``ThresholdKernel`` decides rho(u,v) < t on rows packed into one int each.
-``compute_sig`` asks it once per pair, at r_u + r_v; ``compute_radii``,
-given claimed radii, confirms them on the pairs of that same sweep.  The
-exact distance table (``PointSet.distances``) is built only when radii must
-be found rather than confirmed (no claim, a claim off the grid or below 1,
-or a claim that fails) and for small point sets, where it is cheaper than
-packing the rows.  ``verify`` runs the same kernel over the columns of a
-point set, to screen a block's distances from one point to all others.
+Both are threshold questions on grid integers (radii too), so neither needs
+rho itself.  ``ThresholdKernel`` decides rho(u,v) < t on rows packed into one
+int each.  ``compute_sig`` asks it once per pair, at r_u + r_v;
+``compute_radii``, given claimed radii, confirms them on the pairs of that
+same sweep.  The exact distance table (``PointSet.distances``) is built only
+when radii must be found rather than confirmed (no claim, a claim below 1 or
+one that fails), for radii below 0, and for small point sets, where it is
+cheaper than packing the rows.  ``verify`` runs the same kernel over the
+columns of a point set, to screen a block's distances from one point to all.
 
 ``oracle_embed_2ia`` is the unconditional n-dimensional realization taking
 point v to row v of 2I + A; it is the reference oracle for everything else.
@@ -94,16 +94,16 @@ class PointSet:
         return {}
 
     def closer(self, radius: list[int]) -> list[list[int]]:
-        """closer(r)[u]: the v > u with rho(u,v) < r_u + r_v, for grid radii r >= 0.
+        """closer(r)[u]: the v > u with rho(u,v) < r_u + r_v, for grid radii r.
 
-        One sweep per radius vector, of the exact table when it is small or
-        already built and of the kernel otherwise; the result is kept, so the
-        radius check, the SIG and the verifier's edge prefilter share it.
+        One sweep per radius vector, of the exact table when it is small, built
+        or r has an entry below 0, and of the kernel otherwise; the result is
+        kept, so the radius check, the SIG and verify's edge prefilter share it.
         """
         key, n = tuple(radius), len(radius)
         if key in self._closer:
             return self._closer[key]
-        if self.small or "distances" in vars(self):
+        if self.small or "distances" in vars(self) or min(radius) < 0:
             table = self.distances
             found = [[v for v in range(u + 1, n) if table[u][v] < r + radius[v]]
                      for u, r in enumerate(radius)]
@@ -202,16 +202,6 @@ def _dist(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return max(map(abs, map(sub, a, b)))
 
 
-def _grid_radii(ps: PointSet) -> list[int]:
-    """Nearest-neighbor distance per point on the grid; coincident points raise."""
-    table = ps.distances
-    radius = [min(row[:u] + row[u + 1:]) for u, row in enumerate(table)]
-    if 0 in radius:
-        u = radius.index(0)
-        raise ValueError(f"duplicate points {u} and {table[u].index(0, u + 1)}")
-    return radius
-
-
 def _confirms(ps: PointSet, claim: list[int]) -> bool:
     """Whether claim[u] is the nearest-neighbor distance of every point u.
 
@@ -238,28 +228,30 @@ def _confirms(ps: PointSet, claim: list[int]) -> bool:
     return all(seen)
 
 
-def compute_radii(ps: PointSet, claim: list[Fraction] | None = None) -> list[Fraction]:
-    """Exact nearest-neighbor sup-norm distance per point.
+def compute_radii(ps: PointSet, claim: list[int] | None = None) -> list[int]:
+    """Exact nearest-neighbor sup-norm distance per point, in grid units.
 
-    ``claim`` holds expected radii (rationals).  When they lie on the point
-    set's grid and the kernel confirms them, they are the answer and no
-    distance is computed; otherwise the radii come from the exact table.
+    ``claim`` holds expected grid radii.  When the kernel confirms them they
+    are the answer and no distance is computed; otherwise the radii come from
+    the exact table, and coincident points raise.
     """
-    radius = None
-    if claim is not None and not ps.small and all(ps.scale % x.denominator == 0 for x in claim):
-        radius = to_grid(claim, ps.scale)
-    if radius is None or not _confirms(ps, radius):
-        radius = _grid_radii(ps)
-    return [Fraction(b, ps.scale) for b in radius]
+    if claim is not None and not ps.small and _confirms(ps, claim):
+        return list(claim)
+    table = ps.distances
+    radius = [min(row[:u] + row[u + 1:]) for u, row in enumerate(table)]
+    if 0 in radius:
+        u = radius.index(0)
+        raise ValueError(f"duplicate points {u} and {table[u].index(0, u + 1)}")
+    return radius
 
 
-def compute_sig(ps: PointSet, radii: list[Fraction] | None = None) -> Graph:
+def compute_sig(ps: PointSet, radius: list[int] | None = None) -> Graph:
     """Edge uv iff rho(u,v) < r_u + r_v, decided in exact integer arithmetic.
 
-    ``radii`` are the point set's radii as ``compute_radii`` returns them;
-    they are taken as given.  Without them the exact table supplies them.
+    ``radius`` holds the point set's grid radii as ``compute_radii`` returns
+    them; they are taken as given.  Without them ``compute_radii`` finds them.
     """
-    radius = _grid_radii(ps) if radii is None else to_grid(radii, ps.scale)
+    radius = compute_radii(ps) if radius is None else radius
     edges = [(u, v) for u, vs in enumerate(ps.closer(radius)) for v in vs]
     return Graph(len(radius), frozenset(edges))
 

@@ -18,12 +18,13 @@ but the direct recomputation is the authoritative criterion.  The verifier
 never consults the embedder's case decisions, only the coordinate matrix,
 the graph, and the pipeline trace (picks, factor, schedule).
 
-Radii join the coordinates on the point set's integer grid (a radius off it,
-from outside input, makes both finer).  Every check is a threshold question,
-so none needs rho itself.  The scheduled radii are a claim that
-``compute_radii`` confirms with ``sig.ThresholdKernel``; the SIG is one kernel
-sweep at r(u) + r(v).  The exact distance table is built only when a claim
-fails, lies off the grid or below 1, or when the point set is small.  A
+Radii join the coordinates on one integer grid (a radius off the point set's
+grid, from outside input, puts a copy of it on a finer one, made once); only
+the report holds Fractions.  Every check is a threshold question, so none
+needs rho itself.  The scheduled radii are a claim that ``compute_radii``
+confirms with ``sig.ThresholdKernel``; the SIG is one kernel sweep at r(u) +
+r(v).  The table of exact distances is built only when a claim fails or lies
+below 1, or when the point set is small.  A
 block's distance never exceeds rho, so rho(u,nu) <= r(u), or rho(u,v) < r(u)
 + r(v) on an edge, clears that pair of (1) or (5) in every block; only the
 other pairs are re-evaluated, block by block, as a full per-block scan orders
@@ -46,7 +47,7 @@ from typing import Any
 from .embedding import Embedding, block_dims, dimension_bound
 from .graphs import Graph
 from .rationals import rat_to_json, to_grid
-from .sig import ThresholdKernel, compute_radii, compute_sig
+from .sig import PointSet, ThresholdKernel, compute_radii, compute_sig
 
 
 @dataclass(frozen=True)
@@ -93,35 +94,33 @@ class VerificationReport:
 
 
 class _Grid:
-    """What the suite reads for every block, on one integer scale, built once."""
+    """What the suite reads for every block, built once: ``points`` and ``rv`` share a grid."""
 
     def __init__(self, g: Graph, emb: Embedding):
-        points, scheduled = emb.points, emb.schedule.rv
-        self.scale = lcm(points.scale, *(x.denominator for x in scheduled.values()))
-        up = self.scale // points.scale
-        n = g.n
-        self.cols = list(zip(*points.grid))
-        if up != 1:  # scheduled radii off the coordinate grid
-            self.cols = [[x * up for x in col] for col in self.cols]
+        points, scheduled, n = emb.points, emb.schedule.rv, g.n
+        scale = lcm(points.scale, *(x.denominator for x in scheduled.values()))
+        if scale != points.scale:
+            points = PointSet(points.d, tuple(tuple(to_grid(p, scale)) for p in points.points), scale)
+        self.points, self.cols = points, list(zip(*points.grid))
         self.dims = block_dims(emb.picks)
-        self.rv = to_grid((scheduled[v] for v in range(n)), self.scale)
+        self.rv = rv = to_grid((scheduled[v] for v in range(n)), scale)
         self.index = emb.picks.index_of()
         self.center = [emb.factor.leaf_center.get(v) for v in range(n)]
         self.screen = None if points.small else _Screen(self, g, emb)
-        rv, n1 = self.rv, emb.pseudo.n1
+        n1 = emb.pseudo.n1
         # A block's distance never exceeds rho, so only these pairs can fail
         # (1) or (5) in some block.
-        if up == 1 and min(rv) >= 0 and not points.small:
+        if points.small:
+            table = points.distances
+            self.far_pseudo = [(u, v) for u in range(n) for v in n1[u] if table[u][v] > rv[u]]
+            self.long_edges = [(u, v) for u, a in enumerate(g.adj) for v in a
+                               if v > u and table[u][v] >= rv[u] + rv[v]]
+        else:
             self.far_pseudo, self.long_edges = [], []
             for u, (a, closer) in enumerate(zip(g.adj, points.closer(rv))):
                 within, closer = set(points.kernel.near(u, n1[u], rv[u] + 1)), set(closer)
                 self.far_pseudo.extend((u, v) for v in n1[u] if v not in within)
                 self.long_edges.extend((u, v) for v in a if v > u and v not in closer)
-        else:  # a small table, or radii off the grid or below 0: the radius check built it
-            table = points.distances
-            self.far_pseudo = [(u, v) for u in range(n) for v in n1[u] if table[u][v] * up > rv[u]]
-            self.long_edges = [(u, v) for u, a in enumerate(g.adj) for v in a
-                               if v > u and table[u][v] * up >= rv[u] + rv[v]]
 
 
 class _Screen:
@@ -184,8 +183,8 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
     fails: list[InequalityFailure] = []
 
     def record(ineq: int, u: int, v: int, lhs: int, rhs: int) -> None:
-        fails.append(InequalityFailure(k, ineq, (u, v), Fraction(lhs, grid.scale),
-                                       Fraction(rhs, grid.scale)))
+        fails.append(InequalityFailure(k, ineq, (u, v), Fraction(lhs, grid.points.scale),
+                                       Fraction(rhs, grid.points.scale)))
 
     def block_dist(u: int, v: int) -> int:
         return max(abs(c[u] - c[v]) for c in cols)
@@ -226,10 +225,10 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
 
     diagnostics: dict[str, Any] = {}
 
-    rv = [emb.schedule.rv[v] for v in range(g.n)]
+    grid = _Grid(g, emb)
     try:
-        radii = compute_radii(emb.points, rv)
-        realized = compute_sig(emb.points, radii)
+        radii = compute_radii(grid.points, grid.rv)
+        realized = compute_sig(grid.points, radii)
     except ValueError as exc:
         diagnostics["degenerate"] = str(exc)
         return VerificationReport(False, False, False, [], diagnostics)
@@ -239,12 +238,13 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
         diagnostics["missing_edges"] = [list(e) for e in sorted(g.edges - realized.edges)[:10]]
         diagnostics["extra_edges"] = [list(e) for e in sorted(realized.edges - g.edges)[:10]]
 
-    mismatches = [(v, radii[v], rv[v]) for v in range(g.n) if radii[v] != rv[v]]
+    mismatches = [v for v in range(g.n) if radii[v] != grid.rv[v]]
     radius_agree = not mismatches
     if mismatches:
         diagnostics["radius_mismatches"] = [
-            {"vertex": v, "actual": rat_to_json(a), "scheduled": rat_to_json(s)}
-            for v, a, s in mismatches[:10]
+            {"vertex": v, "actual": rat_to_json(Fraction(radii[v], grid.points.scale)),
+             "scheduled": rat_to_json(emb.schedule.rv[v])}
+            for v in mismatches[:10]
         ]
 
     general, refined = dimension_bound(g.n)
@@ -252,7 +252,6 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
     if not bound_ok:
         diagnostics["dimension"] = {"d": emb.d, "general": general, "refined": refined}
 
-    grid = _Grid(g, emb)
     failures: list[InequalityFailure] = []
     for k in range(emb.picks.count):
         failures.extend(check_inequalities(g, emb, k, grid))

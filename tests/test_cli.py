@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sigdim import generate_random
 from sigdim.cli import main
 from conftest import C3, K2, K13
 
@@ -90,6 +97,42 @@ def test_verify_perturbed(tmp_path, capsys, k2_file):
     assert report["verdict"] == "fail"
     assert not report["sig_equal"] or not report["radius_agree"]
     assert report["diagnostics"]
+
+
+def test_verify_text_report(tmp_path, capsys, k2_file):
+    out = tmp_path / "k2.json"
+    run(capsys, "embed", k2_file, "-o", out)
+    data = json.loads(out.read_text())
+    data["trace"]["rv"][0] += 1
+    out.write_text(json.dumps(data))
+    code, stdout, _ = run(capsys, "verify", k2_file, out, "--format", "text")
+    lines = stdout.splitlines()
+    assert code == 2
+    assert "verdict: fail" in lines and "radius_agree: NO" in lines
+    assert any(line.startswith("radius_mismatches: ") for line in lines)
+
+
+def test_verify_writes_report_file(tmp_path, capsys, k2_file):
+    out, report = tmp_path / "k2.json", tmp_path / "report.json"
+    run(capsys, "embed", k2_file, "-o", out)
+    code, stdout, _ = run(capsys, "verify", k2_file, out, "-o", report)
+    assert code == 0 and stdout == ""
+    assert json.loads(report.read_text())["verdict"] == "pass"
+
+
+def test_embed_pipeline_error_exits_3(tmp_path, capsys, monkeypatch, k2_file):
+    import sigdim.cli
+    from sigdim import PipelineError
+
+    def fail(g, r):
+        raise PipelineError("picker", "no rule applies", step=27)
+
+    monkeypatch.setattr(sigdim.cli, "embed", fail)
+    out = tmp_path / "k2.json"
+    code, stdout, stderr = run(capsys, "embed", k2_file, "-o", out)
+    assert code == 3 and stdout == "" and not out.exists()
+    assert json.loads(stderr) == {"stage": "picker", "message": "[picker] no rule applies",
+                                  "details": {"step": 27}}
 
 
 def test_oracle(tmp_path, capsys):
@@ -209,8 +252,11 @@ def test_bad_edge_probability_rejected(capsys, prob):
 
 
 @pytest.mark.parametrize("argv", [["embed"], ["embed", "GRAPH", "--format", "xml"],
-                                  ["embedd", "GRAPH"]],
-                         ids=["missing-graph", "unknown-format", "unknown-command"])
+                                  ["embedd", "GRAPH"],
+                                  ["fuzz", "--n-min", "5", "--n-max", "4", "--p", "1/2",
+                                   "--seed", "1", "--count", "1"]],
+                         ids=["missing-graph", "unknown-format", "unknown-command",
+                              "reversed-n-range"])
 def test_usage_error_exits_1(capsys, k2_file, argv):
     # Exit code 2 means a failed certificate; a bad command line is an input error,
     # reported like every other one: a single "error:" line, no usage text.
@@ -243,7 +289,9 @@ def test_zero_denominator_rejected(tmp_path, capsys, k2_file, command):
 @pytest.mark.parametrize("points,message", [
     ([[1, 2], [3, 4], [1, 2]], "duplicate points 0 and 2"),
     ({"coords": [[], []]}, "at least one coordinate"),
-], ids=["coincident", "zero-width"])
+    ({"coords": [[1.5], [0]]}, "not a rational: 1.5"),
+    ([[True], [0]], "not a rational: True"),
+], ids=["coincident", "zero-width", "float", "bool"])
 def test_sig_degenerate_points_rejected(tmp_path, capsys, points, message):
     path = tmp_path / "pts.json"
     path.write_text(json.dumps(points))
@@ -289,6 +337,11 @@ def _empty_pick(data):
     data["blocks"].append({"k": k, "class": "I", "dims": [], "step": 19})
 
 
+def _float_pick(data):
+    vertices = data["trace"]["picks"][0]["vertices"]
+    vertices[0] = float(vertices[0])  # equal to the id, so the partition check alone passes it
+
+
 def _block_class(data):
     data["blocks"][0]["class"] = "II"
 
@@ -321,12 +374,16 @@ def _factor_field(key, value):
                                     _factor_field("stars", lambda s: list(s.values())),
                                     _factor_field("stars", lambda s: 0),
                                     _factor_field("triangles", lambda t: {}),
+                                    _factor_field("stars", lambda s: {
+                                        u: [float(x) for x in leaves] for u, leaves in s.items()}),
+                                    _float_pick,
                                     _top("r", -5), _top("delta", 0), _m_entries("x"),
                                     _m_entries(True)],
                          ids=["short-rv", "short-m", "dims-range", "wrong-d", "ragged",
                               "unknown-pick", "missing-row", "empty-dims", "empty-pick",
                               "block-class", "shifted-dims", "stars-list", "stars-int",
-                              "triangles-object", "negative-r", "zero-delta", "string-m",
+                              "triangles-object", "float-leaves", "float-pick", "negative-r",
+                              "zero-delta", "string-m",
                               "bool-m"])
 def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     graph = tmp_path / "k13.txt"
@@ -337,3 +394,73 @@ def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     mutate(data)
     out.write_text(json.dumps(data))
     assert one_line_error(*run(capsys, "verify", graph, out))
+
+
+@functools.cache
+def embedded(text: str) -> str:
+    """``sigdim embed`` output for a graph file's text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, out = Path(tmp) / "g.txt", Path(tmp) / "g.json"
+        graph.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["embed", str(graph), "-o", str(out)]) == 0
+        return out.read_text()
+
+
+# n^2 d = 40^2 * 27 > 40,000 for the last graph, so its tampered radii reach the kernel.
+MUTATED_GRAPHS = [K2, K13, C3, generate_random(9, 0.5, 4).serialize(),
+                  generate_random(40, 0.5, 1).serialize()]
+
+
+@st.composite
+def mutated_embedding(draw):
+    """Embed JSON with one entry somewhere deleted, duplicated, shifted or replaced."""
+    text = draw(st.sampled_from(MUTATED_GRAPHS))
+    data = json.loads(embedded(text))
+    rv = data["trace"]["rv"]
+    if draw(st.booleans()):  # shift a scheduled radius: the claim that verify checks first
+        node, key, op = rv, draw(st.integers(0, len(rv) - 1)), "shift"
+    else:  # a walk down from the root or from a list the verifier reads closely
+        node = draw(st.sampled_from([data, data["trace"], data["coords"],
+                                     data["trace"]["picks"], data["trace"]["factor"]]))
+        while True:
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            child = node[key]
+            if not (isinstance(child, (dict, list)) and child and draw(st.booleans())):
+                break
+            node = child
+        op = draw(st.sampled_from(["delete", "duplicate", "shift", "none", "bool", "float",
+                                   "string", "list", "dict"]))
+    old = node[key]
+    plain = isinstance(old, int) and not isinstance(old, bool)
+    if op == "delete":
+        del node[key]
+    elif op == "duplicate" and isinstance(node, list):
+        node.insert(key, old)
+    elif op == "shift" and plain:
+        node[key] = old + draw(st.sampled_from([-2, -1, 1, 2, 10**30]))
+    else:
+        node[key] = {"none": None, "bool": draw(st.booleans()),
+                     "float": float(old) if plain else 0.5,
+                     "string": str(old), "list": [old], "dict": {"0": old}}.get(op, old)
+    return text, data
+
+
+@given(mutated_embedding())
+@settings(max_examples=200, deadline=None)
+def test_verify_survives_mutated_embedding(case):
+    # A mutated file is rejected with one "error:" line or verified; never a traceback.
+    text, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, points = Path(tmp) / "g.txt", Path(tmp) / "g.json"
+        graph.write_text(text)
+        points.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(graph), str(points)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert one_line_error(code, out.getvalue(), err.getvalue())
+    else:
+        assert json.loads(out.getvalue())["verdict"] == ("pass" if code == 0 else "fail")

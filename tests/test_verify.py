@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sigdim.sig
-from sigdim import PointSet, check_inequalities, embed, generate_random, parse_graph, verify
+from sigdim import (PointSet, build_pseudo, check_inequalities, embed, generate_random,
+                    oracle_embed_2ia, parse_graph, verify)
 from sigdim.embedding import block_dims
+from sigdim.picking import PickClass, PickedSet, PickSequence
 from conftest import C3, K13, K2, planted_stars
 
 
@@ -290,6 +292,21 @@ def test_verify_matches_reference_on_star_mates():
     assert_same_report(g, moved)
     assert {"k": k, "inequality": 3, "pair": [last, first], "lhs": _rat(rv[last]),
             "rhs": _rat(2 * rv[last])} in verify(g, moved).to_json()["inequality_failures"]
+
+
+def test_verify_reports_dimension_over_bound():
+    # One class I pick of all seven path vertices is one block of width 7 > 6;
+    # 2I + A realizes the path with every radius 1, so only the bound fails.
+    g = parse_graph("7 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6")
+    emb = embed(g)
+    picks = PickSequence((PickedSet(0, tuple(range(7)), PickClass.RANDOM, 18),))
+    emb = replace(emb, picks=picks, pseudo=build_pseudo(emb.factor, picks),
+                  points=oracle_embed_2ia(g),
+                  schedule=replace(emb.schedule, rv=dict.fromkeys(range(7), 1)))
+    assert_same_report(g, emb)
+    report = verify(g, emb).to_json()
+    assert not report["bound_ok"] and report["sig_equal"] and report["radius_agree"]
+    assert report["diagnostics"] == {"dimension": {"d": 7, "general": 6, "refined": 6}}
 
 
 def count_exact_distances(monkeypatch) -> list:
