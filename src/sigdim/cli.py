@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -76,18 +77,25 @@ def _summary_stream(out: str | None):
     return sys.stdout if out else sys.stderr
 
 
-def _vertex_ids(values) -> tuple[int, ...]:
-    """A JSON list of vertex ids; a float or a bool equal to an id is not one."""
+def _ints(values, what: str = "vertex ids") -> tuple[int, ...]:
+    """A JSON list of integers; a float or a bool equal to one is not one."""
     ids = tuple(values)
     if not all(type(v) is int for v in ids):
-        raise ValueError(f"vertex ids must be integers, got {list(ids)}")
+        raise ValueError(f"{what} must be integers, got {list(ids)}")
     return ids
+
+
+def _coord_rows(rows) -> list:
+    """JSON coordinate rows for ``PointSet.from_rows``; rows of ints alone pass as they are."""
+    if set(map(type, chain.from_iterable(rows))) == {int}:
+        return rows
+    return [[rat_from_json(x) for x in row] for row in rows]
 
 
 def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     """Rebuild a full Embedding from the JSON written by `embed`; reject a malformed one."""
     trace = data["trace"]
-    rows = [[rat_from_json(x) for x in row] for row in data["coords"]]
+    rows = _coord_rows(data["coords"])
     if not len(rows) == len(trace["m"]) == len(trace["rv"]) == g.n:
         raise ValueError(f"coords, trace.m and trace.rv need one entry per vertex, n={g.n}")
     points = PointSet.from_rows(rows)
@@ -96,12 +104,12 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
             and isinstance(fd["matching"], list)):
         raise ValueError("trace.factor needs a stars object and triangles and matching lists")
     factor = StarTriangleFactor(
-        stars={int(u): frozenset(_vertex_ids(s)) for u, s in fd["stars"].items()},
-        triangles=frozenset(_vertex_ids(t) for t in fd["triangles"]),
-        residual=Matching(frozenset(_vertex_ids(e) for e in fd["matching"])),
+        stars={int(u): frozenset(_ints(s)) for u, s in fd["stars"].items()},
+        triangles=frozenset(_ints(t) for t in fd["triangles"]),
+        residual=Matching(frozenset(_ints(e) for e in fd["matching"])),
     )
     picks = PickSequence(tuple(
-        PickedSet(p["k"], _vertex_ids(p["vertices"]), PickClass(p["class"]),
+        PickedSet(p["k"], _ints(p["vertices"]), PickClass(p["class"]),
                   p["step"], dict(p["roles"]))
         for p in trace["picks"]
     ))
@@ -111,17 +119,20 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
             or not all(p.vertices for p in picks.picks)):
         raise ValueError("trace.picks must partition the vertices into non-empty sets "
                          "and trace.factor cover them")
-    if [p.k for p in picks.picks] != list(range(picks.count)):
+    if _ints([p.k for p in picks.picks], "pick numbers") != tuple(range(picks.count)):
         raise ValueError("picks must be numbered 0, 1, ... in order")
+    _ints([p.step for p in picks.picks], "pick steps")
     r, delta = rat_from_json(data["r"]), rat_from_json(data["delta"])
     if not (r > 0 and delta > 0 and all(type(x) is int for x in trace["m"])):
         raise ValueError("r and delta must be positive and trace.m entries integers")
     sched = RadiusSchedule(r, delta, dict(enumerate(trace["m"])),
                            {v: rat_from_json(x) for v, x in enumerate(trace["rv"])})
     emb = Embedding(g, factor, picks, pn, sched, points)
-    if data["blocks"] != emb.blocks_json():
+    # Compared as JSON text, so that 0.0 or true does not pass for 0 or 1.
+    if json.dumps(data["blocks"], sort_keys=True) != json.dumps(emb.blocks_json(), sort_keys=True):
         raise ValueError("blocks must follow from trace.picks, in pick order")
-    if not data["d"] == points.d == sum(len(b["dims"]) for b in data["blocks"]):
+    widths = sum(len(b["dims"]) for b in data["blocks"])
+    if type(data["d"]) is not int or not data["d"] == points.d == widths:
         raise ValueError(f"d and the block widths must sum to the coordinate width {points.d}")
     return emb
 
@@ -147,7 +158,7 @@ def cmd_sig(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(args.points).read_text())
         rows = data["coords"] if isinstance(data, dict) else data
-        g = compute_sig(PointSet.from_rows([[rat_from_json(x) for x in row] for row in rows]))
+        g = compute_sig(PointSet.from_rows(_coord_rows(rows)))
     except (OSError, ValueError, KeyError, TypeError) as exc:  # coincident points raise too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

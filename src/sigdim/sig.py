@@ -22,10 +22,12 @@ point v to row v of 2I + A; it is the reference oracle for everything else.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, lshift, sub
 from typing import Iterable
 
@@ -35,8 +37,8 @@ from .rationals import common_scale, rat_to_json, to_grid
 Point = tuple[Fraction, ...]
 
 # n^2 * d at or below which verification reads the exact distance table: packing
-# rows for the kernel costs more there (break-even between n = 30 and 40 at p = 1/2).
-SMALL_TABLE = 40_000
+# rows for the kernel costs more there (break-even near n = 24 at p = 1/2).
+SMALL_TABLE = 10_000
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,10 @@ class PointSet:
 
     @staticmethod
     def from_rows(rows) -> PointSet:
-        """Rows of ints or Fractions onto the grid of their common denominator."""
+        """Rows of ints or Fractions onto the grid of their common denominator.
+
+        Rows of ints alone are the scale-1 grid as they stand.
+        """
         if len(rows) < 2:
             raise ValueError("need at least two points")
         widths = {len(r) for r in rows}
@@ -58,6 +63,8 @@ class PointSet:
         d = widths.pop()
         if d == 0:
             raise ValueError("points need at least one coordinate")
+        if set(map(type, chain.from_iterable(rows))) == {int}:
+            return PointSet(d, tuple(map(tuple, rows)), 1)
         scale = common_scale(x for r in rows for x in r)
         return PointSet(d, tuple(tuple(to_grid(r, scale)) for r in rows), scale)
 
@@ -67,8 +74,9 @@ class PointSet:
         return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.grid)
 
     def to_json(self) -> dict:
-        rows = self.grid if self.scale == 1 else self.points
-        return {"d": self.d, "coords": [[rat_to_json(x) for x in p] for p in rows]}
+        if self.scale == 1:  # grid integers are their own JSON
+            return {"d": self.d, "coords": list(map(list, self.grid))}
+        return {"d": self.d, "coords": [[rat_to_json(x) for x in p] for p in self.points]}
 
     @cached_property
     def distances(self) -> list[list[int]]:
@@ -80,9 +88,14 @@ class PointSet:
         return table
 
     @cached_property
+    def bound(self) -> int:
+        """max |x| over the grid, found once for the row and the column kernel."""
+        return max(max(map(max, self.grid)), -min(map(min, self.grid)))
+
+    @cached_property
     def kernel(self) -> ThresholdKernel:
         """The grid rows packed for threshold tests, built once."""
-        return ThresholdKernel(self.grid)
+        return ThresholdKernel(self.grid, self.bound)
 
     @property
     def small(self) -> bool:
@@ -133,10 +146,13 @@ class ThresholdKernel:
     A threshold may also be split as t + s[v], with s[v] folded into row v
     (``lowered``).  Both parts are then non-negative and clamped on their
     own; their sum stays below 4m + 3, which K > 6m + 1 leaves room for.
+
+    The caller passes m (``PointSet.bound``), so that the row and the column
+    kernel of one point set share one scan; any larger m would serve too.
     """
 
-    def __init__(self, grid):
-        self.m = m = max(max(map(abs, row), default=0) for row in grid)
+    def __init__(self, grid, m: int):
+        self.m = m
         self.width, d = (6 * m + 1).bit_length() + 1, len(grid[0])  # bits per field: K > 6m + 1
         self.half, self.limit, self._shift = 1 << (self.width - 1), 2 * m + 1, self.width * d
         self.lo = self.pack([1] * d)  # a one in each field j < d
@@ -187,11 +203,17 @@ class ThresholdKernel:
         return [v for v in vs if (hi - rows[v]) & top == top]
 
 
+# array typecodes by item width in bits; a later code of the same width wins.
+_ARRAY_CODES = {8 * array(code).itemsize: code for code in "QLIHB"}
+
+
 def pack_fields(values: Iterable[int], width: int) -> int:
     """sum(x_i << (width * i)) for values x_i in [0, 2**width), built from bytes."""
-    if width % 8 == 0:
-        return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width // 8),
-                                           repeat("little"))), "little")
+    if width in _ARRAY_CODES:  # the fields are machine words: one C-level copy
+        fields = array(_ARRAY_CODES[width], values)
+        if sys.byteorder == "big":
+            fields.byteswap()
+        return int.from_bytes(fields.tobytes(), "little")
     vals, shifts = list(values), range(0, 8 * width, width)
     # Eight fields fill a whole number of bytes, so each group packs on its own.
     return int.from_bytes(b"".join([sum(map(lshift, vals[i:i + 8], shifts)).to_bytes(width, "little")

@@ -30,9 +30,12 @@ block's distance never exceeds rho, so rho(u,nu) <= r(u), or rho(u,v) < r(u)
 other pairs are re-evaluated, block by block, as a full per-block scan orders
 them.  For (2)-(4), ``_Screen`` runs the kernel over the columns, so one
 subtraction holds u against every v, and decides each family with vertex
-masks: picked before, at or after k, non-neighbours, and for (3) u's star
-mates.  Only a u it flags gets the exact per-pair pass, so the failure list
-is that of a full scan.
+masks built once per u, each holding exactly the v its family covers: (2)
+the v picked at or before k; (3) u's star mates picked at or before k, and
+(4) the v outside u's star picked at or after k, both among u's
+non-neighbours.  A star mate picked after k is in no family's mask.  Only a
+u it flags gets the exact per-pair pass, so the failure list is that of a
+full scan.
 """
 
 from __future__ import annotations
@@ -136,19 +139,25 @@ class _Screen:
 
     def __init__(self, grid: _Grid, g: Graph, emb: Embedding):
         n, self.rv, self.dims = g.n, grid.rv, grid.dims
-        self.kernel = kernel = ThresholdKernel(grid.cols)
+        self.kernel = kernel = ThresholdKernel(grid.cols, grid.points.bound)
         self.by_rv = kernel.pack([kernel.clamp(r) for r in grid.rv] * 2)  # r(v) in both fields of v
-        # Top bits of the vertices picked at k, at k or before, and at k or after.
+        # Top bits of the vertices picked at k, and at k or before.
         picked = [kernel.spread(sum(1 << v for v in p.vertices)) for p in emb.picks.picks]
-        every = (1 << n) - 1
-        self.early, top = list(accumulate(picked)), kernel.spread(every)
-        self.late = [top - e + p for e, p in zip(self.early, picked)]
-        self.apart = [kernel.spread(every & ~mask & ~(1 << u)) for u, mask in enumerate(g.masks)]
-        self.mates = [0] * n  # top bits of the leaves of u's star, for a leaf u
-        for leaves in emb.factor.stars.values():
-            star = kernel.spread(sum(1 << v for v in leaves))
-            for v in leaves:
-                self.mates[v] = star
+        early, top = list(accumulate(picked)), kernel.spread((1 << n) - 1)
+        leaves: dict[int, int] = {}  # each centre's leaves as a vertex mask, read as (3) reads them
+        for v, c in enumerate(grid.center):
+            if c is not None:
+                leaves[c] = leaves.get(c, 0) | 1 << v
+        mates = {c: kernel.spread(mask) for c, mask in leaves.items()}
+        # For each u, picked at k: the v that (2) reads, and the v that (3) or (4) read.
+        self.before, self.apart = [0] * n, [0] * n
+        for k, p in enumerate(emb.picks.picks):
+            late = top - early[k] + picked[k]
+            for u in p.vertices:
+                bit, star = kernel.half << (kernel.width * u), mates.get(grid.center[u], 0)
+                self.before[u] = early[k] - bit
+                self.apart[u] = (top - kernel.spread(g.masks[u]) - bit) & (
+                    early[k] & star | late & ~star)
 
     def within(self, rows: list[int], values: list[int], t: int, fold: bool) -> int:
         """Top bit of field v set iff |values[j] - c_j[v]| < t (+ r(v) if fold) for all j."""
@@ -161,16 +170,15 @@ class _Screen:
     def may_fail(self, k: int, u: int, cols: list) -> bool:
         """Whether some v may fail (2), (3) or (4) against u, picked at k.
 
-        (3) and (4) share the test |c(u) - c(v)| < r(u) + r(v) on non-edges:
-        (4) for every v picked at k or after, (3) for u's star mates picked at
-        k or before.
+        (2) reads every v picked at k or before.  (3) and (4) share the test
+        |c(u) - c(v)| < r(u) + r(v) on non-neighbours: (3) reads u's star mates
+        picked at k or before, (4) the v outside u's star picked at k or after.
+        Neither reads a star mate picked after k.
         """
         t = self.rv[u]
         rows, values = [self.kernel.rows[j] for j in self.dims[k]], [c[u] for c in cols]
         two = self.within(rows, values, t, False) | self.within(rows, values, 0, True)
-        return bool(two & (self.early[k] - self.kernel.spread(1 << u))
-                    or self.within(rows, values, t, True) & self.apart[u]
-                    & (self.late[k] | self.early[k] & self.mates[u]))
+        return bool(two & self.before[u] or self.within(rows, values, t, True) & self.apart[u])
 
 
 def check_inequalities(g: Graph, emb: Embedding, k: int,

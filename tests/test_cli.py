@@ -4,14 +4,15 @@ import contextlib
 import functools
 import io
 import json
+import operator
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigdim import generate_random
-from sigdim.cli import main
+from sigdim import generate_random, parse_graph
+from sigdim.cli import embedding_from_json, main
 from conftest import C3, K2, K13
 
 
@@ -350,6 +351,15 @@ def _shifted_dims(data):
     data["blocks"][-1]["dims"] = [j - 1 for j in data["blocks"][-1]["dims"]]
 
 
+def _retype(*path, new=float):
+    """Replace the entry at path with new(entry): an equal value of another JSON type."""
+    def mutate(data):
+        *keys, last = path
+        node = functools.reduce(operator.getitem, keys, data)
+        node[last] = new(node[last])
+    return mutate
+
+
 def _top(key, value):
     def mutate(data):
         data[key] = value
@@ -378,13 +388,19 @@ def _factor_field(key, value):
                                         u: [float(x) for x in leaves] for u, leaves in s.items()}),
                                     _float_pick,
                                     _top("r", -5), _top("delta", 0), _m_entries("x"),
-                                    _m_entries(True)],
+                                    _m_entries(True), _retype("d"),
+                                    _retype("trace", "picks", 0, "k"),
+                                    _retype("trace", "picks", 1, "step"),
+                                    _retype("blocks", 0, "dims", 0),
+                                    _retype("coords", 1, 1),
+                                    _retype("coords", 1, 0, new=bool)],
                          ids=["short-rv", "short-m", "dims-range", "wrong-d", "ragged",
                               "unknown-pick", "missing-row", "empty-dims", "empty-pick",
                               "block-class", "shifted-dims", "stars-list", "stars-int",
                               "triangles-object", "float-leaves", "float-pick", "negative-r",
                               "zero-delta", "string-m",
-                              "bool-m"])
+                              "bool-m", "float-d", "float-k", "float-step", "float-dims",
+                              "float-coord", "bool-coord"])
 def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     graph = tmp_path / "k13.txt"
     graph.write_text(K13)
@@ -407,9 +423,28 @@ def embedded(text: str) -> str:
         return out.read_text()
 
 
-# n^2 d = 40^2 * 27 > 40,000 for the last graph, so its tampered radii reach the kernel.
+# n^2 d = 40^2 * 27 > SMALL_TABLE for the last graph, so its tampered radii reach the kernel.
 MUTATED_GRAPHS = [K2, K13, C3, generate_random(9, 0.5, 4).serialize(),
                   generate_random(40, 0.5, 1).serialize()]
+
+
+@pytest.mark.parametrize("text", [K13, MUTATED_GRAPHS[-1]], ids=["table", "kernel"])
+def test_int_and_fraction_coordinates_load_alike(tmp_path, capsys, text):
+    # All-int rows load onto the grid as they are; "p/q" strings take the exact path.
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    g = parse_graph(text)
+    data = json.loads(embedded(text))
+    written = json.loads(embedded(text))
+    for row in written["coords"][::3]:
+        row[0] = f"{3 * row[0]}/3"
+    reports = []
+    for variant in (data, written):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(variant))
+        reports.append(run(capsys, "verify", graph, path))
+    assert embedding_from_json(g, written).points == embedding_from_json(g, data).points
+    assert reports[0] == reports[1] and reports[0][0] == 0
 
 
 @st.composite

@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sigdim import (compute_radii, compute_sig, generate_exhaustive,
                     oracle_embed_2ia, parse_graph)
@@ -124,8 +124,8 @@ def integer_rows(draw):
 @given(integer_rows(), st.lists(st.integers(0, 10**13), min_size=5, max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_kernel_decides_the_exact_threshold(rows, extra):
-    kernel = ThresholdKernel(rows)
     m = max(abs(x) for r in rows for x in r)
+    kernel = ThresholdKernel(rows, m)
     lowered = kernel.lowered(extra[:len(rows)])
     for u, a in enumerate(rows):
         for v, b in enumerate(rows):
@@ -138,6 +138,11 @@ def test_kernel_decides_the_exact_threshold(rows, extra):
 
 
 @given(st.integers(1, 70), st.lists(st.integers(0, 2**70), max_size=30))
+@example(8, [255, 0, 7])  # the widths packed as machine words, and one that is not
+@example(16, [65535, 1, 2**70])
+@example(32, [2**32 - 1, 5])
+@example(64, [2**64 - 1, 0, 3])
+@example(24, [2**24 - 1] * 9)
 @settings(max_examples=100, deadline=None)
 def test_pack_fields(width, values):
     values = [x % (1 << width) for x in values]
@@ -148,7 +153,8 @@ def test_pack_fields(width, values):
 @settings(max_examples=100, deadline=None)
 def test_spread_sets_top_bits(width, bits):
     # The smallest coordinate bound with fields this wide; no kernel has 3-bit fields.
-    kernel = ThresholdKernel([[-(-(2 ** (width - 2) - 1) // 6)]])
+    m = -(-(2 ** (width - 2) - 1) // 6)
+    kernel = ThresholdKernel([[m]], m)
     assert kernel.width == (4 if width == 3 else width)
     mask = sum(1 << i for i, b in enumerate(bits) if b)
     expected = sum(kernel.half << (kernel.width * i) for i, b in enumerate(bits) if b)

@@ -12,6 +12,7 @@ from sigdim import (PointSet, build_pseudo, check_inequalities, embed, generate_
                     oracle_embed_2ia, parse_graph, verify)
 from sigdim.embedding import block_dims
 from sigdim.picking import PickClass, PickedSet, PickSequence
+from sigdim.verify import _Grid
 from conftest import C3, K13, K2, planted_stars
 
 
@@ -292,6 +293,19 @@ def test_verify_matches_reference_on_star_mates():
     assert_same_report(g, moved)
     assert {"k": k, "inequality": 3, "pair": [last, first], "lhs": _rat(rv[last]),
             "rhs": _rat(2 * rv[last])} in verify(g, moved).to_json()["inequality_failures"]
+
+
+def test_screen_flags_no_vertex_on_planted_stars():
+    # Neither (3) nor (4) covers a star mate picked after u's block, so the
+    # screen leaves those pairs out; testing them flagged 30 of these 60
+    # vertices for the exact pass, which found nothing there.
+    g = planted_stars(60, 0)
+    emb = embed(g)
+    assert not emb.points.small
+    grid = _Grid(g, emb)
+    assert not [u for p in emb.picks.picks for u in p.vertices
+                if grid.screen.may_fail(p.k, u, [grid.cols[j] for j in grid.dims[p.k]])]
+    assert_same_report(g, emb)
 
 
 def test_verify_reports_dimension_over_bound():
