@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .embedding import Embedding, dimension_bound, embed
 from .errors import GraphInputError, PipelineError
@@ -85,6 +88,14 @@ def _ints(values, what: str = "vertex ids") -> tuple[int, ...]:
     return ids
 
 
+def _roles(roles, n: int) -> dict[str, int]:
+    """A pick's JSON roles: an object whose values are vertex ids below n."""
+    if not (isinstance(roles, dict)
+            and all(0 <= v < n for v in _ints(roles.values(), "pick roles"))):
+        raise ValueError(f"pick roles must be an object of vertex ids below n={n}")
+    return dict(roles)
+
+
 def _coord_rows(rows) -> list:
     """JSON coordinate rows for ``PointSet.from_rows``; rows of ints alone pass as they are."""
     if set(map(type, chain.from_iterable(rows))) == {int}:
@@ -94,6 +105,8 @@ def _coord_rows(rows) -> list:
 
 def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     """Rebuild a full Embedding from the JSON written by `embed`; reject a malformed one."""
+    if type(data["n"]) is not int or data["n"] != g.n:
+        raise ValueError(f"n must be the graph's vertex count {g.n}, got {data['n']!r}")
     trace = data["trace"]
     rows = _coord_rows(data["coords"])
     if not len(rows) == len(trace["m"]) == len(trace["rv"]) == g.n:
@@ -110,7 +123,7 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     )
     picks = PickSequence(tuple(
         PickedSet(p["k"], _ints(p["vertices"]), PickClass(p["class"]),
-                  p["step"], dict(p["roles"]))
+                  p["step"], _roles(p["roles"], g.n))
         for p in trace["picks"]
     ))
     pn = build_pseudo(factor, picks)
@@ -225,6 +238,56 @@ def _shrink(g: Graph, r: Fraction | None) -> tuple[Graph, dict[str, Any]]:
     return g, failure
 
 
+def _fuzz_instance(job: tuple[int, int, Fraction, Fraction | None]
+                   ) -> tuple[int | None, dict[str, Any] | None]:
+    """One fuzz instance: (d, None) when clean, else (d or None, its failure bundle)."""
+    seed, n, p, r = job
+    g, repairs = sample_gnp(n, p, seed)
+    d, failure = _run_instance(g, r)
+    if failure is None:
+        return d, None
+    small, small_failure = _shrink(g, r)
+    return d, {
+        "graph": g.serialize(),
+        "shrunk_graph": small.serialize(),
+        "seed": seed,
+        "n": n,
+        "p": str(p),
+        "repaired_edges": [list(e) for e in repairs],
+        "r": None if r is None else str(r),
+        "failure": failure,
+        "shrunk_failure": small_failure,
+    }
+
+
+@contextmanager
+def _fuzz_results(jobs: list[tuple]) -> Iterator[Iterator[tuple]]:
+    """The results of ``_fuzz_instance`` over ``jobs``, in job order.
+
+    With two or more jobs and CPUs this process may use, the jobs run in a
+    pool of forked workers, one per CPU but no more than there are jobs.
+    Forking copies the loaded modules, so workers start at once.  Forking
+    beside another thread is unsafe (a pool forks its workers before it starts
+    its own threads), so a process that runs other threads, has one CPU or no
+    fork, or has one job runs the jobs itself.  No worker outlives the
+    ``with`` block, and a worker's exception is raised here.
+    """
+    try:
+        workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    except AttributeError:  # no sched_getaffinity on this platform
+        workers = 1
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing  # here, so that no other command pays for the import
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                yield pool.imap(_fuzz_instance, jobs, chunksize=1)
+                pool.close()
+                pool.join()
+            return
+    yield map(_fuzz_instance, jobs)
+
+
 def cmd_fuzz(args: argparse.Namespace) -> int:
     if not 2 <= args.n_min <= args.n_max:
         print("error: need 2 <= n-min <= n-max", file=sys.stderr)
@@ -233,36 +296,23 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"error: --count must be non-negative, got {args.count}", file=sys.stderr)
         return EXIT_INPUT
     outdir = Path(args.bundle_dir)
+    span = args.n_max - args.n_min + 1
+    seeds = range(args.seed, args.seed + args.count)
+    jobs = [(seed, args.n_min + seed % span, args.p, args.r) for seed in seeds]
     passed = 0
     failures = []
     slack_hist: dict[int, int] = {}
-    for i in range(args.count):
-        seed = args.seed + i
-        span = args.n_max - args.n_min + 1
-        n = args.n_min + seed % span
-        g, repairs = sample_gnp(n, args.p, seed)
-        d, failure = _run_instance(g, args.r)
-        if failure is None:
-            passed += 1
-            slack = dimension_bound(n)[0] - d
-            slack_hist[slack] = slack_hist.get(slack, 0) + 1
-            continue
-        small, small_failure = _shrink(g, args.r)
-        bundle = {
-            "graph": g.serialize(),
-            "shrunk_graph": small.serialize(),
-            "seed": seed,
-            "n": n,
-            "p": str(args.p),
-            "repaired_edges": [list(e) for e in repairs],
-            "r": None if args.r is None else str(args.r),
-            "failure": failure,
-            "shrunk_failure": small_failure,
-        }
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / f"counterexample-seed{seed}.json"
-        path.write_text(json.dumps(bundle, indent=2) + "\n")
-        failures.append({"seed": seed, "n": n, "bundle": str(path)})
+    with _fuzz_results(jobs) as results:
+        for (seed, n, _, _), (d, bundle) in zip(jobs, results):
+            if bundle is None:
+                passed += 1
+                slack = dimension_bound(n)[0] - d
+                slack_hist[slack] = slack_hist.get(slack, 0) + 1
+                continue
+            outdir.mkdir(parents=True, exist_ok=True)
+            path = outdir / f"counterexample-seed{seed}.json"
+            path.write_text(json.dumps(bundle, indent=2) + "\n")
+            failures.append({"seed": seed, "n": n, "bundle": str(path)})
     summary = {
         "count": args.count,
         "passed": passed,

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import copyreg
 from fractions import Fraction
 from typing import Any
 
 from .rationals import rat_to_json
+
+
+def _reduce(exc: Exception) -> tuple:
+    """Pickle an error as its formatted args plus attributes, not through ``__init__``.
+
+    The default would call ``__init__`` with the formatted message alone, which
+    these signatures reject; an error raised in a fuzz worker must reach the
+    parent process as itself.
+    """
+    return copyreg.__newobj__, (type(exc), *exc.args), exc.__dict__
 
 
 class GraphInputError(ValueError):
@@ -16,6 +27,8 @@ class GraphInputError(ValueError):
         self.line = line
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"{message}{where}")
+
+    __reduce__ = _reduce
 
 
 class PipelineError(RuntimeError):
@@ -32,6 +45,8 @@ class PipelineError(RuntimeError):
         self.stage = stage
         self.details = details
         super().__init__(f"[{stage}] {message}")
+
+    __reduce__ = _reduce
 
     def to_json(self) -> dict[str, Any]:
         return {

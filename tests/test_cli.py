@@ -4,13 +4,19 @@ import contextlib
 import functools
 import io
 import json
+import multiprocessing
 import operator
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sigdim
 from sigdim import generate_random, parse_graph
 from sigdim.cli import embedding_from_json, main
 from conftest import C3, K2, K13
@@ -199,15 +205,116 @@ def test_exhaustive_range(capsys):
 def test_fuzz_embeds_each_instance_once(tmp_path, capsys, monkeypatch):
     import sigdim.cli
 
-    calls = []
+    # Instances may run in worker processes, so each embed appends a line to a file.
+    calls = tmp_path / "embeds.log"
     embed = sigdim.cli.embed
-    monkeypatch.setattr(sigdim.cli, "embed", lambda g, r: calls.append(g) or embed(g, r))
+
+    def counted(g, r):
+        with calls.open("a") as fh:
+            fh.write(".\n")
+        return embed(g, r)
+
+    monkeypatch.setattr(sigdim.cli, "embed", counted)
     code, _, _ = run(capsys, "fuzz", "--n-min", "6", "--n-max", "12", "--p", "1/2",
                      "--seed", "3", "--count", "7", "-o", tmp_path / "s.json")
     summary = json.loads((tmp_path / "s.json").read_text())
     assert code == 0 and summary["passed"] == 7
-    assert len(calls) == 7
+    assert len(calls.read_text().splitlines()) == 7
     assert sum(summary["bound_slack_histogram"].values()) == 7
+
+
+def instance_pids(monkeypatch, log: Path, cpus: int) -> None:
+    """Let fuzz see ``cpus`` CPUs, and log the pid of every ``_run_instance`` call."""
+    import sigdim.cli
+
+    run_instance = sigdim.cli._run_instance
+
+    def logged(g, r):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run_instance(g, r)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(sigdim.cli, "_run_instance", logged)
+
+
+def test_fuzz_output_does_not_depend_on_workers(tmp_path, capsys, monkeypatch):
+    # Seeds 2955..2966 at n = 18, p = 1/10 include the failing, shrunk seed 2960.
+    trees = []
+    for cpus in (1, 2):
+        cwd = tmp_path / f"cpus{cpus}"
+        (cwd / "out").mkdir(parents=True)
+        monkeypatch.chdir(cwd)
+        instance_pids(monkeypatch, cwd / "pids.log", cpus)
+        assert run(capsys, "fuzz", "--n-min", "18", "--n-max", "18", "--p", "1/10",
+                   "--seed", "2955", "--count", "12", "--bundle-dir", "out/b",
+                   "-o", "out/s.json")[0] == 0
+        pids = set(map(int, (cwd / "pids.log").read_text().split()))
+        if cpus == 1:
+            assert pids == {os.getpid()}
+        else:  # workers only, and no more of them than CPUs
+            assert os.getpid() not in pids and len(pids) <= cpus
+        trees.append({str(f.relative_to(cwd)): f.read_bytes()
+                      for f in sorted((cwd / "out").rglob("*.json"))})
+        assert multiprocessing.active_children() == []
+    assert trees[0] == trees[1]
+    summary = json.loads(trees[1]["out/s.json"])
+    assert [f["seed"] for f in summary["failures"]] == [2960]
+
+
+def test_fuzz_runs_in_process_beside_another_thread(tmp_path, capsys, monkeypatch):
+    # Forking while another thread may hold a lock is unsafe, so fuzz does not pool then.
+    instance_pids(monkeypatch, tmp_path / "pids.log", 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        code, _, _ = run(capsys, "fuzz", "--n-min", "6", "--n-max", "9", "--p", "1/2",
+                         "--seed", "1", "--count", "4", "-o", tmp_path / "s.json")
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert code == 0 and not thread.is_alive()
+    assert set(map(int, (tmp_path / "pids.log").read_text().split())) == {os.getpid()}
+
+
+def test_fuzz_worker_error_reaches_the_caller(tmp_path):
+    # In a fresh interpreter, with a timeout: a pool that loses the error waits forever.
+    script = f"""
+import json, multiprocessing, os
+import sigdim.cli
+from sigdim import PipelineError
+
+def fail(g, r):
+    raise PipelineError("picker", "no rule applies", step=27)
+
+sigdim.cli._run_instance = fail
+os.sched_getaffinity = lambda pid: {{0, 1}}
+try:
+    sigdim.cli.main(["fuzz", "--n-min", "6", "--n-max", "9", "--p", "1/2", "--seed", "1",
+                     "--count", "4", "-o", {str(tmp_path / "s.json")!r}])
+except PipelineError as exc:
+    print(json.dumps([exc.to_json(), multiprocessing.active_children()]))
+"""
+    src = str(Path(sigdim.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(done.stdout) == [{"stage": "picker",
+                                        "message": "[picker] no rule applies",
+                                        "details": {"step": 27}}, []]
+
+
+def test_errors_survive_pickling():
+    import pickle
+
+    from sigdim import GraphInputError, PipelineError
+
+    exc = pickle.loads(pickle.dumps(PipelineError("schedule", "bad", k=3)))
+    assert (type(exc), exc.stage, exc.details, str(exc)) == (
+        PipelineError, "schedule", {"k": 3}, "[schedule] bad")
+    exc = pickle.loads(pickle.dumps(GraphInputError("header", "bad header", line=1)))
+    assert (type(exc), exc.kind, exc.line, str(exc)) == (
+        GraphInputError, "header", 1, "bad header (line 1)")
 
 
 def test_shrink_rejects_passing_instance():
@@ -372,6 +479,12 @@ def _m_entries(value):
     return mutate
 
 
+def _roles(roles):
+    def mutate(data):
+        data["trace"]["picks"][0]["roles"] = roles
+    return mutate
+
+
 def _factor_field(key, value):
     def mutate(data):
         data["trace"]["factor"][key] = value(data["trace"]["factor"][key])
@@ -393,14 +506,17 @@ def _factor_field(key, value):
                                     _retype("trace", "picks", 1, "step"),
                                     _retype("blocks", 0, "dims", 0),
                                     _retype("coords", 1, 1),
-                                    _retype("coords", 1, 0, new=bool)],
+                                    _retype("coords", 1, 0, new=bool),
+                                    _top("n", 99), _roles({"x": 0.5}), _roles({"x": True}),
+                                    _roles({"x": 4}), _roles({"x": -1}), _roles([1])],
                          ids=["short-rv", "short-m", "dims-range", "wrong-d", "ragged",
                               "unknown-pick", "missing-row", "empty-dims", "empty-pick",
                               "block-class", "shifted-dims", "stars-list", "stars-int",
                               "triangles-object", "float-leaves", "float-pick", "negative-r",
                               "zero-delta", "string-m",
                               "bool-m", "float-d", "float-k", "float-step", "float-dims",
-                              "float-coord", "bool-coord"])
+                              "float-coord", "bool-coord", "wrong-n", "float-role",
+                              "bool-role", "role-range", "negative-role", "roles-list"])
 def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     graph = tmp_path / "k13.txt"
     graph.write_text(K13)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import ast
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,3 +60,13 @@ def test_perfbench_patch_targets_exist(tmp_path):
     # The recorded calls feed the per-layer counts, which read the embedding.
     sizes = tracing._observed_sizes(tracer.observed)
     assert sizes["sum"]["verify.ineq_evals.f2"] > 0
+
+
+def test_cli_import_defers_process_pools():
+    # Only `fuzz` uses a process pool; every other command, and setup, skips its import.
+    src = str(Path(sigdim.__file__).parents[1])
+    script = ("import sys, sigdim.cli; print(sorted(m for m in sys.modules "
+              "if m.partition('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"
