@@ -43,7 +43,10 @@ EXIT_PIPELINE = 3
 
 
 def _read_graph(path: str) -> Graph:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise GraphInputError("malformed", f"cannot decode graph file {path}: {exc}") from None
     g = parse_graph(text)
     g.require_embeddable()
     return g
@@ -136,10 +139,12 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
         raise ValueError("picks must be numbered 0, 1, ... in order")
     _ints([p.step for p in picks.picks], "pick steps")
     r, delta = rat_from_json(data["r"]), rat_from_json(data["delta"])
-    if not (r > 0 and delta > 0 and all(type(x) is int for x in trace["m"])):
-        raise ValueError("r and delta must be positive and trace.m entries integers")
-    sched = RadiusSchedule(r, delta, dict(enumerate(trace["m"])),
+    if not (r > 0 and all(type(x) is int for x in trace["m"])):
+        raise ValueError("r must be positive and trace.m entries integers")
+    sched = RadiusSchedule(r, dict(enumerate(trace["m"])),
                            {v: rat_from_json(x) for v, x in enumerate(trace["rv"])})
+    if delta != sched.delta:
+        raise ValueError(f"delta must be r/(6n) = {sched.delta}, got {data['delta']!r}")
     emb = Embedding(g, factor, picks, pn, sched, points)
     # Compared as JSON text, so that 0.0 or true does not pass for 0 or 1.
     if json.dumps(data["blocks"], sort_keys=True) != json.dumps(emb.blocks_json(), sort_keys=True):

@@ -701,7 +701,7 @@ def check_accounting(g: Graph, picks: PickSequence) -> None:
         )
 
 
-def embed(g: Graph, r: Fraction | None = None) -> Embedding:
+def embed(g: Graph, r: int | Fraction | None = None) -> Embedding:
     """Full pipeline: matching, factor, picking, schedule, coordinate blocks."""
     g.require_embeddable()
     m0 = maximum_matching(g)

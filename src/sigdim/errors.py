@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import copyreg
-from fractions import Fraction
 from typing import Any
-
-from .rationals import rat_to_json
 
 
 def _reduce(exc: Exception) -> tuple:
@@ -57,8 +54,6 @@ class PipelineError(RuntimeError):
 
 
 def _plain(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return rat_to_json(value)
     if isinstance(value, (list, tuple, set, frozenset)):
         items = sorted(value) if isinstance(value, (set, frozenset)) else value
         return [_plain(v) for v in items]

@@ -14,6 +14,8 @@ A vertex with N2(v) = {v} is called central.  The schedule assigns
 r(v) = r - 2*delta*m(v), where m(v) is the first pick index whose group meets
 N(v) union N2(v), and delta = r/(6n): in delta units, which the block tables
 use, r(v) = 6n - 2m(v).  The default r = 12n gives delta = 2, integer coordinates.
+The integer m is the schedule: it is what ``validate_schedule`` checks, and the
+Fraction radii are built from it once, for the embedding file and ``verify``.
 """
 
 from __future__ import annotations
@@ -73,10 +75,13 @@ def build_pseudo(f: StarTriangleFactor, picks: PickSequence) -> PseudoNeighborho
 
 @dataclass(frozen=True)
 class RadiusSchedule:
-    r: Fraction
-    delta: Fraction
+    r: int | Fraction
     m: dict[int, int]
     rv: dict[int, Fraction]
+
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(self.r, 6 * len(self.m))
 
 
 def default_radius(n: int) -> Fraction:
@@ -84,51 +89,54 @@ def default_radius(n: int) -> Fraction:
 
 
 def radius_schedule(pn: PseudoNeighborhood, picks: PickSequence,
-                    r: Fraction) -> RadiusSchedule:
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+                    r: int | Fraction) -> RadiusSchedule:
+    if type(r) not in (int, Fraction) or r <= 0:
+        raise ValueError(f"radius must be a positive int or Fraction, got {r!r}")
     n = len(pn.n1)
-    delta = r / (6 * n)
     index = picks.index_of()
-    m: dict[int, int] = {}
-    for v in pn.n1:
-        m[v] = min(index[u] for u in pn.related(v))
-    rv = {v: r - 2 * delta * m[v] for v in m}
-    return RadiusSchedule(r, delta, m, rv)
+    m = {v: min(index[u] for u in pn.related(v)) for v in pn.n1}
+    # r(v) = r - 2*delta*m(v) = (r/(3n)) * (3n - m(v)): one Fraction per distinct m.
+    unit = Fraction(r, 3 * n)
+    radius = {k: unit * (3 * n - k) for k in set(m.values())}
+    return RadiusSchedule(r, m, {v: radius[k] for v, k in m.items()})
 
 
 def validate_schedule(f: StarTriangleFactor, pn: PseudoNeighborhood,
                       picks: PickSequence, sched: RadiusSchedule) -> None:
-    r, delta = sched.r, sched.delta
-    if delta > r / 6:
-        raise PipelineError("schedule", f"delta {delta} exceeds r/6")
-    for v, val in sched.rv.items():
-        if not 2 * r / 3 < val <= r:
-            raise PipelineError("schedule", f"r({v}) = {val} outside (2r/3, r]",
-                                vertex=v, value=val)
+    """Check the schedule's guarantees, each as its equivalent on the integer m.
+
+    With r > 0 and r(v) = r - 2*delta*m(v), delta = r/(6n) <= r/6 (so no
+    separate bound on delta is needed), and cutoff_k = r - 2*delta*(k + 1):
+
+      * 2r/3 < r(v) <= r  <=>  0 <= m(v) < n;
+      * a factor component's radii agree  <=>  their m values agree;
+      * cutoff_k lies in (2r/3, r)  <=>  0 <= k and k + 1 < n;
+      * r(v) > cutoff_k  <=>  m(v) <= k, for v in reach(P_k).
+    """
+    m = sched.m
+    n = len(m)
+    for v, mv in m.items():
+        if not 0 <= mv < n:
+            raise PipelineError("schedule", f"m({v}) = {mv} outside [0, {n})",
+                                vertex=v, m=mv)
 
     # Radii agree inside every factor component.
     for u, leaves in f.stars.items():
         for x in leaves:
-            if sched.rv[x] != sched.rv[u]:
-                raise PipelineError("schedule", f"leaf {x} and center {u} disagree",
+            if m[x] != m[u]:
+                raise PipelineError("schedule", f"leaf {x} and center {u} disagree on m",
                                     pair=(u, x))
     for tri in f.triangles:
-        if len({sched.rv[v] for v in tri}) != 1:
-            raise PipelineError("schedule", f"triangle {tri} radii disagree")
+        if len({m[v] for v in tri}) != 1:
+            raise PipelineError("schedule", f"triangle {tri} disagrees on m")
     for u, v in f.residual.edges:
-        if sched.rv[u] != sched.rv[v]:
-            raise PipelineError("schedule", f"matched pair {u}{v} radii disagree")
+        if m[u] != m[v]:
+            raise PipelineError("schedule", f"matched pair {u}{v} disagrees on m")
 
     for p in picks.picks:
-        cutoff = r - 2 * delta * (p.k + 1)
-        if not 2 * r / 3 < cutoff < r:
-            raise PipelineError("schedule", f"cutoff for block {p.k} out of range",
-                                k=p.k, value=cutoff)
+        if not 0 <= p.k < n - 1:
+            raise PipelineError("schedule", f"cutoff for block {p.k} out of range", k=p.k)
         for v in pn.reach(p.vertices):
-            if not sched.rv[v] > cutoff:
-                raise PipelineError(
-                    "schedule",
-                    f"r({v}) = {sched.rv[v]} not above block-{p.k} cutoff {cutoff}",
-                    k=p.k, vertex=v,
-                )
+            if m[v] > p.k:
+                raise PipelineError("schedule", f"m({v}) = {m[v]} above block {p.k}",
+                                    k=p.k, vertex=v)

@@ -1,8 +1,10 @@
 """Exact-rational helpers: JSON encoding, the integer grid, small utilities.
 
-Nothing is ever rounded.  Coordinates live on one integer grid (``sig.PointSet``);
-``Fraction`` carries radii, reported values and JSON input.  JSON writes a
-rational as a plain int when the denominator is 1, else as a ``"p/q"`` string.
+Nothing is ever rounded.  Coordinates live on one integer grid (``sig.PointSet``),
+and the embedder's radius schedule is the integer m(v) (``pseudo``).  ``Fraction``
+carries only what a file or a report states: the scheduled radii, built once
+from m, reported values and JSON input.  JSON writes a rational as a plain int
+when the denominator is 1, else as a ``"p/q"`` string.
 """
 
 from __future__ import annotations

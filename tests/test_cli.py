@@ -325,15 +325,6 @@ def test_shrink_rejects_passing_instance():
         _shrink(parse_graph(K2), None)
 
 
-def test_pipeline_error_json_encodes_fractions():
-    from fractions import Fraction
-
-    from sigdim import PipelineError
-
-    exc = PipelineError("schedule", "bad radius", r=Fraction(7, 3), rv=[Fraction(4)])
-    assert exc.to_json()["details"] == {"r": "7/3", "rv": [4]}
-
-
 def one_line_error(code, stdout, stderr):
     # Malformed input: exit code 1, one "error:" line, no traceback.
     return code == 1 and stderr.startswith("error: ") and stderr.count("\n") == 1
@@ -376,6 +367,14 @@ def test_usage_error_exits_1(capsys, k2_file, argv):
 def test_unwritable_output_rejected(tmp_path, capsys, k2_file, command):
     argv = [k2_file if a == "GRAPH" else a for a in command]
     assert one_line_error(*run(capsys, *argv, "-o", tmp_path / "missing" / "out.json"))
+
+
+@pytest.mark.parametrize("command", ["embed", "oracle", "verify"])
+def test_non_utf8_graph_rejected(tmp_path, capsys, k2_file, command):
+    graph = tmp_path / "latin1.txt"
+    graph.write_bytes(b"2 1\n0 1 \xe9\n")
+    argv = [command, graph] + ([k2_file] if command == "verify" else [])
+    assert one_line_error(*run(capsys, *argv))
 
 
 def test_help_exits_0(capsys):
@@ -500,7 +499,8 @@ def _factor_field(key, value):
                                     _factor_field("stars", lambda s: {
                                         u: [float(x) for x in leaves] for u, leaves in s.items()}),
                                     _float_pick,
-                                    _top("r", -5), _top("delta", 0), _m_entries("x"),
+                                    _top("r", -5), _top("delta", 0), _top("delta", 99),
+                                    _top("delta", "1/2"), _m_entries("x"),
                                     _m_entries(True), _retype("d"),
                                     _retype("trace", "picks", 0, "k"),
                                     _retype("trace", "picks", 1, "step"),
@@ -513,7 +513,7 @@ def _factor_field(key, value):
                               "unknown-pick", "missing-row", "empty-dims", "empty-pick",
                               "block-class", "shifted-dims", "stars-list", "stars-int",
                               "triangles-object", "float-leaves", "float-pick", "negative-r",
-                              "zero-delta", "string-m",
+                              "zero-delta", "wrong-delta", "half-delta", "string-m",
                               "bool-m", "float-d", "float-k", "float-step", "float-dims",
                               "float-coord", "bool-coord", "wrong-n", "float-role",
                               "bool-role", "role-range", "negative-role", "roles-list"])

@@ -152,6 +152,11 @@ def test_rational_radius_override():
     assert verify(g, emb).verdict == "pass"
 
 
+def test_integer_radius_matches_fraction():
+    g = parse_graph(C5)
+    assert embed(g, 48).to_json() == embed(g, Fraction(48)).to_json()
+
+
 def test_block_widths():
     emb = embed(parse_graph(K13))
     assert block_dims(emb.picks) == [range(0, 1), range(1, 3)]  # singleton, residual of 3

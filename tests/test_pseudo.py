@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from sigdim import (build_pseudo, maximum_matching, parse_graph, pick_vertices,
-                    radius_schedule, star_triangle_factor)
+from sigdim import (PipelineError, build_pseudo, maximum_matching, parse_graph,
+                    pick_vertices, radius_schedule, star_triangle_factor)
 from sigdim.pseudo import validate_schedule
 from conftest import C3, K13, K2
 
@@ -73,6 +74,7 @@ def test_radius_window_on_corpus(corpus5):
         r = sched.r
         for v in range(g.n):
             assert 2 * r / 3 < sched.rv[v] <= r
+            assert sched.rv[v] == r - 2 * sched.delta * sched.m[v]
         validate_schedule(f, pn, seq, sched)
 
 
@@ -94,3 +96,26 @@ def test_rejects_nonpositive_radius():
     pn = build_pseudo(f, seq)
     with pytest.raises(ValueError):
         radius_schedule(pn, seq, Fraction(0))
+
+
+@pytest.mark.parametrize("radius", [48.0, True, "48", None])
+def test_rejects_non_rational_radius(radius):
+    g = parse_graph(K2)
+    f = star_triangle_factor(g, maximum_matching(g))
+    seq = pick_vertices(g, f)
+    with pytest.raises(ValueError, match="int or Fraction"):
+        radius_schedule(build_pseudo(f, seq), seq, radius)
+
+
+@pytest.mark.parametrize("m,message", [
+    ({2: 4}, r"m\(2\) = 4 outside \[0, 4\)"),        # m(v) = n: r(v) = 2r/3
+    ({1: 1}, "leaf 1 and center 0 disagree"),       # a leaf off its centre's radius
+    (dict.fromkeys(range(4), 1), r"m\(0\) = 1 above block 0"),  # reach(P_0) below the cutoff
+], ids=["m-equals-n", "leaf-centre", "above-cutoff"])
+def test_validate_schedule_rejects_tampered_m(m, message):
+    # K_{1,3}: P_0 = {0}, whose reach is every vertex; P_1 = the leaves 1, 2, 3.
+    _, f, seq, pn, sched = pipeline_to_schedule(K13)
+    validate_schedule(f, pn, seq, sched)
+    with pytest.raises(PipelineError, match=message) as info:
+        validate_schedule(f, pn, seq, replace(sched, m={**sched.m, **m}))
+    assert info.value.stage == "schedule"

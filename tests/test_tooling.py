@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,3 +71,15 @@ def test_cli_import_defers_process_pools():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_readme_library_example_runs():
+    # The README's library example is code: run it, so that it cannot drift from the package.
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    assert blocks
+    src = str(root / "src")
+    for block in blocks:
+        done = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
