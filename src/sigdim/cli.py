@@ -25,13 +25,13 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator
 
-from .embedding import Embedding, dimension_bound, embed
+from .embedding import Embedding, block_dims, dimension_bound, embed
 from .errors import GraphInputError, PipelineError
 from .factor import StarTriangleFactor
 from .graphs import Graph, generate_exhaustive, parse_graph, sample_gnp
 from .matching import Matching
 from .picking import PickClass, PickedSet, PickSequence
-from .pseudo import build_pseudo, RadiusSchedule
+from .pseudo import build_pseudo, radius_schedule, RadiusSchedule
 from .rationals import parse_rational, rat_from_json
 from .sig import PointSet, compute_sig, oracle_embed_2ia
 from .verify import verify
@@ -106,14 +106,30 @@ def _coord_rows(rows) -> list:
     return [[rat_from_json(x) for x in row] for row in rows]
 
 
+def _fields(data: dict[str, Any]) -> dict[str, str]:
+    """An embedding file's fields but coords, as JSON text; trace's one level down (trace.m)."""
+    fields = {k: v for k, v in data.items() if k not in ("coords", "trace")}
+    fields.update((f"trace.{k}", v) for k, v in data["trace"].items())
+    return {k: json.dumps(v, sort_keys=True) for k, v in fields.items()}
+
+
 def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
-    """Rebuild a full Embedding from the JSON written by `embed`; reject a malformed one."""
-    if type(data["n"]) is not int or data["n"] != g.n:
-        raise ValueError(f"n must be the graph's vertex count {g.n}, got {data['n']!r}")
+    """Rebuild a full Embedding from the JSON written by `embed`; reject a malformed one.
+
+    Only the sources are read: ``coords``, ``r``, the claimed radii ``trace.rv``,
+    ``trace.factor``, and each pick's ``vertices``, ``class``, ``step`` and
+    ``roles``; picks are numbered by position.  The derived fields (``n``,
+    ``d``, ``delta``, ``blocks``, each pick's ``k`` and ``trace.m``) are rebuilt
+    as ``embed`` builds them.  Every field of the file but ``coords`` must then
+    be exactly what ``Embedding.to_json`` writes, compared as JSON text, so that
+    0.0 or true does not pass for 0 or 1, nor "4/2" for 2.  The sources must
+    also agree with each other: the picks partition the vertices, the factor
+    covers them, and the block widths sum to the coordinate width.
+    """
     trace = data["trace"]
     rows = _coord_rows(data["coords"])
-    if not len(rows) == len(trace["m"]) == len(trace["rv"]) == g.n:
-        raise ValueError(f"coords, trace.m and trace.rv need one entry per vertex, n={g.n}")
+    if not len(rows) == len(trace["rv"]) == g.n:
+        raise ValueError(f"coords and trace.rv need one entry per vertex, n={g.n}")
     points = PointSet.from_rows(rows)
     fd = trace["factor"]
     if not (isinstance(fd["stars"], dict) and isinstance(fd["triangles"], list)
@@ -125,9 +141,9 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
         residual=Matching(frozenset(_ints(e) for e in fd["matching"])),
     )
     picks = PickSequence(tuple(
-        PickedSet(p["k"], _ints(p["vertices"]), PickClass(p["class"]),
-                  p["step"], _roles(p["roles"], g.n))
-        for p in trace["picks"]
+        PickedSet(k, _ints(p["vertices"]), PickClass(p["class"]), p["step"],
+                  _roles(p["roles"], g.n))
+        for k, p in enumerate(trace["picks"])
     ))
     pn = build_pseudo(factor, picks)
     picked = sorted(v for p in picks.picks for v in p.vertices)
@@ -135,23 +151,18 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
             or not all(p.vertices for p in picks.picks)):
         raise ValueError("trace.picks must partition the vertices into non-empty sets "
                          "and trace.factor cover them")
-    if _ints([p.k for p in picks.picks], "pick numbers") != tuple(range(picks.count)):
-        raise ValueError("picks must be numbered 0, 1, ... in order")
     _ints([p.step for p in picks.picks], "pick steps")
-    r, delta = rat_from_json(data["r"]), rat_from_json(data["delta"])
-    if not (r > 0 and all(type(x) is int for x in trace["m"])):
-        raise ValueError("r must be positive and trace.m entries integers")
-    sched = RadiusSchedule(r, dict(enumerate(trace["m"])),
+    if sum(map(len, block_dims(picks))) != points.d:
+        raise ValueError(f"the block widths must sum to the coordinate width {points.d}")
+    r = rat_from_json(data["r"])
+    sched = RadiusSchedule(r, radius_schedule(pn, picks, r).m,
                            {v: rat_from_json(x) for v, x in enumerate(trace["rv"])})
-    if delta != sched.delta:
-        raise ValueError(f"delta must be r/(6n) = {sched.delta}, got {data['delta']!r}")
     emb = Embedding(g, factor, picks, pn, sched, points)
-    # Compared as JSON text, so that 0.0 or true does not pass for 0 or 1.
-    if json.dumps(data["blocks"], sort_keys=True) != json.dumps(emb.blocks_json(), sort_keys=True):
-        raise ValueError("blocks must follow from trace.picks, in pick order")
-    widths = sum(len(b["dims"]) for b in data["blocks"])
-    if type(data["d"]) is not int or not data["d"] == points.d == widths:
-        raise ValueError(f"d and the block widths must sum to the coordinate width {points.d}")
+    ours, theirs = _fields(emb.to_json(coords=False)), _fields(data)
+    differ = sorted(k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k))
+    if differ:
+        raise ValueError("fields differ from what embed writes for these sources: "
+                         + ", ".join(differ))
     return emb
 
 

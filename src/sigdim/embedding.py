@@ -52,19 +52,17 @@ class Embedding:
     def d(self) -> int:
         return self.points.d
 
-    def blocks_json(self) -> list[dict[str, Any]]:
-        return [{"k": p.k, "class": p.cls.value, "dims": list(dims), "step": p.step}
-                for p, dims in zip(self.picks.picks, block_dims(self.picks))]
-
-    def to_json(self) -> dict[str, Any]:
+    def to_json(self, coords: bool = True) -> dict[str, Any]:
+        """The embedding file; with ``coords=False``, every field of it but coords."""
         sched = self.schedule
         return {
             "n": self.graph.n,
             "d": self.d,
             "r": rat_to_json(sched.r),
             "delta": rat_to_json(sched.delta),
-            "blocks": self.blocks_json(),
-            "coords": self.points.to_json()["coords"],
+            "blocks": [{"k": p.k, "class": p.cls.value, "dims": list(dims), "step": p.step}
+                       for p, dims in zip(self.picks.picks, block_dims(self.picks))],
+            **({"coords": self.points.to_json()["coords"]} if coords else {}),
             "trace": {
                 "picks": self.picks.to_json(),
                 "factor": self.factor.to_json(),

@@ -11,15 +11,16 @@ import subprocess
 import sys
 import tempfile
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sigdim
-from sigdim import generate_random, parse_graph
+from sigdim import embed, generate_random, parse_graph
 from sigdim.cli import embedding_from_json, main
-from conftest import C3, K2, K13
+from conftest import C3, K2, K13, planted_stars
 
 
 @pytest.fixture
@@ -484,6 +485,18 @@ def _roles(roles):
     return mutate
 
 
+def _extra_column(data):
+    # A zero column on every row and d raised to match: only the block widths disagree.
+    for row in data["coords"]:
+        row.append(0)
+    data["d"] += 1
+
+
+def _renumbered_k(data):
+    for entry in data["trace"]["picks"] + data["blocks"]:
+        entry["k"] += 1
+
+
 def _factor_field(key, value):
     def mutate(data):
         data["trace"]["factor"][key] = value(data["trace"]["factor"][key])
@@ -508,7 +521,9 @@ def _factor_field(key, value):
                                     _retype("coords", 1, 1),
                                     _retype("coords", 1, 0, new=bool),
                                     _top("n", 99), _roles({"x": 0.5}), _roles({"x": True}),
-                                    _roles({"x": 4}), _roles({"x": -1}), _roles([1])],
+                                    _roles({"x": 4}), _roles({"x": -1}), _roles([1]),
+                                    _extra_column, _m_entries(3), _renumbered_k,
+                                    _top("extra", None), _top("delta", "4/2")],
                          ids=["short-rv", "short-m", "dims-range", "wrong-d", "ragged",
                               "unknown-pick", "missing-row", "empty-dims", "empty-pick",
                               "block-class", "shifted-dims", "stars-list", "stars-int",
@@ -516,7 +531,9 @@ def _factor_field(key, value):
                               "zero-delta", "wrong-delta", "half-delta", "string-m",
                               "bool-m", "float-d", "float-k", "float-step", "float-dims",
                               "float-coord", "bool-coord", "wrong-n", "float-role",
-                              "bool-role", "role-range", "negative-role", "roles-list"])
+                              "bool-role", "role-range", "negative-role", "roles-list",
+                              "extra-column", "tampered-m", "renumbered-k", "extra-key",
+                              "unreduced-delta"])
 def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     graph = tmp_path / "k13.txt"
     graph.write_text(K13)
@@ -526,6 +543,15 @@ def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     mutate(data)
     out.write_text(json.dumps(data))
     assert one_line_error(*run(capsys, "verify", graph, out))
+
+
+@pytest.mark.parametrize("r", [None, Fraction(7, 3)], ids=["default-r", "r-7/3"])
+def test_embedding_json_round_trips(r):
+    # The loader rebuilds exactly what embed built from the file embed writes.
+    graphs = [generate_random(n, 0.5, n) for n in range(8, 61)]
+    for g in graphs + [planted_stars(200, seed) for seed in range(3)]:
+        emb = embed(g, r)
+        assert embedding_from_json(g, json.loads(json.dumps(emb.to_json()))) == emb
 
 
 @functools.cache
@@ -615,3 +641,43 @@ def test_verify_survives_mutated_embedding(case):
         assert one_line_error(code, out.getvalue(), err.getvalue())
     else:
         assert json.loads(out.getvalue())["verdict"] == ("pass" if code == 0 else "fail")
+
+
+@st.composite
+def mutated_graph(draw):
+    """A graph file with its header or one edge line deleted, duplicated, shifted or retyped."""
+    text = draw(st.sampled_from(MUTATED_GRAPHS))
+    lines = text.splitlines()
+    i = draw(st.one_of(st.just(0), st.integers(0, len(lines) - 1)))  # the header, or any line
+    op = draw(st.sampled_from(["delete", "duplicate", "shift", "retype"]))
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        fields = lines[i].split()
+        j = draw(st.integers(0, len(fields) - 1))
+        x = int(fields[j])
+        fields[j] = (str(x + draw(st.sampled_from([-2, -1, 1, 2]))) if op == "shift"
+                     else draw(st.sampled_from([f"{x}.0", f"{x}/1", f"+{x}", "x", "", "-"])))
+        lines[i] = " ".join(fields)
+    return text, "\n".join(lines) + "\n"
+
+
+@given(mutated_graph())
+@settings(max_examples=100, deadline=None)
+def test_commands_survive_mutated_graph(case):
+    # A mutated graph file is rejected with one "error:" line or gets a normal outcome.
+    text, mutated = case
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, points, out = Path(tmp) / "g.txt", Path(tmp) / "g.json", Path(tmp) / "out.json"
+        graph.write_text(mutated)
+        points.write_text(embedded(text))
+        for argv in (["embed", graph, "-o", out], ["verify", graph, points],
+                     ["oracle", graph, "-o", out]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([str(a) for a in argv])
+            assert code in ((0, 1, 2, 3) if argv[0] == "embed" else (0, 1, 2))
+            if code == 1:
+                assert one_line_error(code, stdout.getvalue(), stderr.getvalue())

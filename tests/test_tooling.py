@@ -11,6 +11,7 @@ from pathlib import Path
 
 import sigdim
 import sigdim.cli
+from sigdim import embed, parse_graph
 
 
 def test_no_assert_in_package():
@@ -83,3 +84,13 @@ def test_readme_library_example_runs():
         done = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
                               timeout=60, env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
+
+
+def test_readme_embedding_keys_match_writer():
+    # The embedding file format is what Embedding.to_json writes; README names its keys.
+    root = Path(__file__).resolve().parents[1]
+    spec = re.search(r"embedding JSON\s+`\{(.*?)\}`", (root / "README.md").read_text(), re.S)
+    block = re.search(r"\[\{(.*?)\}\]", spec.group(1)).group(1)
+    data = embed(parse_graph("2 1\n0 1\n")).to_json()
+    assert re.findall(r"\w+", re.sub(r":\s*\[.*?\]", "", spec.group(1))) == list(data)
+    assert re.findall(r"\w+", block) == list(data["blocks"][0])
