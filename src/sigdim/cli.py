@@ -106,10 +106,10 @@ def _coord_rows(rows) -> list:
     return [[rat_from_json(x) for x in row] for row in rows]
 
 
-def _fields(data: dict[str, Any]) -> dict[str, str]:
-    """An embedding file's fields but coords, as JSON text; trace's one level down (trace.m)."""
-    fields = {k: v for k, v in data.items() if k not in ("coords", "trace")}
-    fields.update((f"trace.{k}", v) for k, v in data["trace"].items())
+def _fields(data: dict[str, Any]) -> dict[tuple[str, ...], str]:
+    """An embedding file's fields but coords as JSON text, keyed by path (trace one level down)."""
+    fields = {(k,): v for k, v in data.items() if k not in ("coords", "trace")}
+    fields.update((("trace", k), v) for k, v in data["trace"].items())
     return {k: json.dumps(v, sort_keys=True) for k, v in fields.items()}
 
 
@@ -162,7 +162,7 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     differ = sorted(k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k))
     if differ:
         raise ValueError("fields differ from what embed writes for these sources: "
-                         + ", ".join(differ))
+                         + ", ".join(map(".".join, differ)))
     return emb
 
 

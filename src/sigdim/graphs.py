@@ -66,11 +66,9 @@ class Graph:
         """Inputs to the embedding pipeline need n >= 2 and minimum degree 1."""
         if self.n < 2:
             raise GraphInputError("too_small", f"need at least 2 vertices, got {self.n}")
-        if self.n > 2 * len(self.edges):  # a vertex is isolated, and adj would be n lists
-            ends = {v for e in self.edges for v in e}
-            bad = next(v for v in range(self.n) if v not in ends)
-        else:  # adj is built once and read by matching and verify anyway
-            bad = next((v for v, nbrs in enumerate(self.adj) if not nbrs), None)
+        # No adj: the first vertex outside every edge is among the first 2m+1.
+        ends = {v for e in self.edges for v in e}
+        bad = next((v for v in range(self.n) if v not in ends), None)
         if bad is not None:
             raise GraphInputError("isolated", f"isolated vertex {bad}")
 

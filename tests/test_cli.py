@@ -523,7 +523,8 @@ def _factor_field(key, value):
                                     _top("n", 99), _roles({"x": 0.5}), _roles({"x": True}),
                                     _roles({"x": 4}), _roles({"x": -1}), _roles([1]),
                                     _extra_column, _m_entries(3), _renumbered_k,
-                                    _top("extra", None), _top("delta", "4/2")],
+                                    _top("extra", None), _top("delta", "4/2"),
+                                    _top("trace.m", None)],
                          ids=["short-rv", "short-m", "dims-range", "wrong-d", "ragged",
                               "unknown-pick", "missing-row", "empty-dims", "empty-pick",
                               "block-class", "shifted-dims", "stars-list", "stars-int",
@@ -533,7 +534,7 @@ def _factor_field(key, value):
                               "float-coord", "bool-coord", "wrong-n", "float-role",
                               "bool-role", "role-range", "negative-role", "roles-list",
                               "extra-column", "tampered-m", "renumbered-k", "extra-key",
-                              "unreduced-delta"])
+                              "unreduced-delta", "dotted-key"])
 def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     graph = tmp_path / "k13.txt"
     graph.write_text(K13)

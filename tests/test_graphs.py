@@ -132,11 +132,3 @@ def test_huge_header_rejected_without_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
 
-
-def test_isolated_vertex_found_from_adj():
-    # With n <= 2m the check reads the cached adjacency that matching and verify reuse.
-    g = parse_graph("5 3\n0 1\n0 3\n3 4\n")
-    with pytest.raises(GraphInputError, match="isolated vertex 2"):
-        g.require_embeddable()
-    assert "adj" in vars(g)
-    parse_graph("5 3\n0 1\n0 2\n3 4\n").require_embeddable()
