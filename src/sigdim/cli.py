@@ -47,9 +47,7 @@ def _read_graph(path: str) -> Graph:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise GraphInputError("malformed", f"cannot decode graph file {path}: {exc}") from None
-    g = parse_graph(text)
-    g.require_embeddable()
-    return g
+    return parse_graph(text)
 
 
 def _emit(data: Any, out: str | None) -> None:
@@ -198,6 +196,7 @@ def cmd_sig(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.graph)
+        g.require_embeddable()
         emb = embedding_from_json(g, json.loads(Path(args.points).read_text()))
     except (OSError, ValueError, KeyError, TypeError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,24 +12,30 @@ layout: ``block_dims`` derives it, and nothing else stores it.
 
 Within a block, *all* vertices of the graph receive coordinates from a case
 table keyed on pseudo-neighborhood membership, pick order relative to k, and
-adjacency to the group's members.  The tables are transcribed verbatim; a
-vertex matching no row is a construction failure and raises a structured
-diagnostic instead of inventing a value.  Tables work in integer units of
-delta = r/(6n) (r = 6n, r(v) = 6n - 2m(v)); ``embed`` scales by delta once.
+adjacency to the group's members.  The tables are transcribed row for row.
+Adjacency and pick order are bitmasks (``Graph.masks``, and per block the
+vertices picked before k), and each adjacency choice is one lookup keyed by
+v's adjacency code to the group's roles.  Class VIII's c-side and class VII's
+q-side are written once, as mirrors of the a-side and the p-side: the two
+roles exchanged and the two coordinates swapped.  A vertex matching no row is
+a construction failure and raises a structured diagnostic instead of
+inventing a value.  Tables work in integer units of delta = r/(6n) (r = 6n,
+r(v) = 6n - 2m(v)); ``embed`` scales by delta once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Any
 
 from .errors import PipelineError
 from .factor import StarTriangleFactor, star_triangle_factor, validate_factor
 from .graphs import Graph
 from .matching import maximum_matching
-from .picking import (PickClass, PickedSet, PickSequence, pick_vertices,
+from .picking import (PickClass, PickedSet, PickSequence, _mask, pick_vertices,
                       validate_picks)
 from .pseudo import (PseudoNeighborhood, RadiusSchedule, build_pseudo,
                      default_radius, radius_schedule, validate_schedule)
@@ -106,7 +112,8 @@ def block_dims(picks: PickSequence) -> list[range]:
 
 
 class _Ctx:
-    """Shared lookups for the block builders; radii in delta units."""
+    """Shared lookups for the block builders: radii in delta units, and bitmasks
+    of the star leaves and, for each block k, of the vertices picked before k."""
 
     def __init__(self, g: Graph, f: StarTriangleFactor, picks: PickSequence,
                  pn: PseudoNeighborhood, sched: RadiusSchedule):
@@ -114,16 +121,11 @@ class _Ctx:
         self.f = f
         self.picks = picks
         self.pn = pn
-        self.index = picks.index_of()
         self.r = 6 * g.n
         self.rv = [self.r - 2 * sched.m[v] for v in range(g.n)]
-        self.edge = g.has_edge
-
-    def before(self, v: int, k: int) -> bool:
-        return self.index[v] < k
-
-    def is_leaf(self, v: int) -> bool:
-        return v in self.f.leaf_center
+        self.leaves = _mask(f.leaf_center)
+        self.earlier = list(accumulate((_mask(p.vertices) for p in picks.picks), or_,
+                                       initial=0))
 
     def unreachable(self, k: int, table: str, vertex: int, **extra: Any) -> PipelineError:
         return PipelineError(
@@ -133,6 +135,14 @@ class _Ctx:
         )
 
 
+def _bits(mask: int, *vertices: int) -> int:
+    """The bits of mask at the given vertices as one number, the first vertex highest."""
+    code = 0
+    for u in vertices:
+        code = code << 1 | mask >> u & 1
+    return code
+
+
 # ---------------------------------------------------------------------------
 # class I: one dimension per picked vertex
 
@@ -140,14 +150,14 @@ def _block_random(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
     rv = ctx.rv
     columns = []
     for w in pick.vertices:
-        near = ctx.pn.n1[w]
+        near, adj = ctx.pn.n1[w], ctx.g.masks[w]
         col: dict[int, int] = {}
         for v in range(ctx.g.n):
             if v == w:
                 col[v] = -rv[w]
             elif v in near:
                 col[v] = 0
-            elif ctx.edge(v, w):
+            elif adj >> v & 1:
                 col[v] = rv[v] - 1
             else:
                 col[v] = rv[v]
@@ -292,6 +302,7 @@ def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
     star = ctx.pn.n1[w]  # the leaf set
     v0_side = ctx.pn.related(v0) - {v0}
     reach = ctx.pn.reach(pick.vertices)
+    early_or_v0 = ctx.earlier[k] | ctx.g.masks[v0]
 
     out: dict[int, Vec] = {}
     for v in range(ctx.g.n):
@@ -304,7 +315,7 @@ def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
         elif v == w:
             out[v] = (-half, 0)
         elif v in star:
-            if ctx.before(v, k) or ctx.edge(v, v0):
+            if early_or_v0 >> v & 1:
                 out[v] = (rv[w] - half, -rv[w] + 1)
             else:
                 out[v] = (rv[w] - half, -rv[w])
@@ -331,6 +342,8 @@ def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
     v2_side = ctx.pn.related(v2) - {v2}
     reach = ctx.pn.reach(pick.vertices)
     subcase_b = v2 in ctx.pn.related(v1)
+    early, adj = ctx.earlier[k], ctx.g.masks
+    early_or_v1 = early | adj[v1]
 
     out: dict[int, Vec] = {}
     for v in range(ctx.g.n):
@@ -348,7 +361,7 @@ def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
                 out[v] = (rv[v2] - 1, -rv[v2] - half)
         elif v == w:
             # the star center, always picked before this block
-            if not ctx.before(v, k):
+            if not early >> v & 1:
                 raise ctx.unreachable(k, "VI", v, reason="center picked late")
             if subcase_b:
                 out[v] = (rv[v] - 1, half)
@@ -356,16 +369,16 @@ def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
                 out[v] = (r - 2 * (k + 1), half)
         elif v in star:
             if subcase_b:
-                if ctx.before(v, k):
+                if early >> v & 1:
                     out[v] = (rv[v] - 1, -rv[v] + half)
-                elif ctx.edge(v, v2):
+                elif adj[v2] >> v & 1:
                     out[v] = (rv[v] - 1, half)
                 else:
                     out[v] = (rv[v], half)
             else:
-                if ctx.before(v, k):
+                if early >> v & 1:
                     out[v] = (-rv[v] + r - 2 * (k + 1), -rv[v] + half)
-                elif ctx.edge(v, v1):
+                elif adj[v1] >> v & 1:
                     out[v] = (rv[v] - 1, half)
                 else:
                     out[v] = (rv[v], half)
@@ -376,15 +389,15 @@ def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
                 out[v] = (0, 0)
         elif v in v2_side:
             # subcase a only: v2's own component
-            if ctx.before(v, k) or ctx.edge(v, v1):
+            if early_or_v1 >> v & 1:
                 out[v] = (rv[v] - 1, -half)
             else:
                 out[v] = (rv[v], -half)
         elif v not in reach:
             if subcase_b:
-                out[v] = (rv[v] - 1, 0) if ctx.before(v, k) else (rv[v], 0)
+                out[v] = (rv[v] - 1, 0) if early >> v & 1 else (rv[v], 0)
             else:
-                if ctx.before(v, k) or ctx.edge(v, v1):
+                if early_or_v1 >> v & 1:
                     out[v] = (rv[v] - 1, 0)
                 else:
                     out[v] = (rv[v], 0)
@@ -396,9 +409,20 @@ def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
 # ---------------------------------------------------------------------------
 # class VII: triple with exactly one edge
 
+# v outside the pick's reach, not picked before k: rows of y = -r(v),
+# x = base + r(v) and h = mhalf, by (v ~ p, v ~ q, v ~ s); None: no row.
+_ONE_EDGE_OUTSIDE = (
+    None, lambda y, x, h: (x, x),
+    None, lambda y, x, h: (x, h),
+    None, lambda y, x, h: (h, x),
+    lambda y, x, h: (y, y), lambda y, x, h: (h, h),
+)
+
+
 def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
-    rv = ctx.rv
+    rv, adj, leaves = ctx.rv, ctx.g.masks, ctx.leaves
     k = pick.k
+    early = ctx.earlier[k]
     base = -ctx.r + 2 * (k + 1)
     mhalf = -ctx.r // 2 + (k + 1)
     p, q, s = (pick.roles[r_] for r_ in ("p", "q", "s"))
@@ -408,44 +432,33 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
     for tri in ctx.f.triangles:
         if p in tri and q in tri:
             (tk,) = (v for v in tri if v not in (p, q))
-    s_near = ctx.pn.n1[s]
-    s_second = ctx.pn.n2[s] - {s}
-    p_near, p_second = ctx.pn.n1[p], ctx.pn.n2[p] - {p}
-    q_near, q_second = ctx.pn.n1[q], ctx.pn.n2[q] - {q}
     reach = ctx.pn.reach(pick.vertices)
+    s_side, p_side, q_side = (ctx.pn.related(x) for x in (s, p, q))
+    xs = base + rv[s]
+    s_leaf = (xs - 1, -rv[s]) if close else (-rv[s], -rv[s])
 
-    def s_family(v: int) -> Vec:
-        # shared adjacency table for N(s) and its second neighborhood
-        if ctx.before(v, k):
-            if v in s_second and ctx.is_leaf(v):
-                if close:
-                    return (base + rv[s] - 1, -rv[s])
-                return (-rv[s], -rv[s])
-            return (0, 0)
-        ep, eq = ctx.edge(v, p), ctx.edge(v, q)
-        if ep and eq:
-            return (0, 0)
-        if not ep and eq:
-            return (base + rv[s], 0)
-        if ep and not eq:
-            return (0, base + rv[s])
-        return (base + rv[s], base + rv[s])
+    def side(v: int, x: int, y: int, table: str) -> Vec:
+        # Written for p's side (x = p, y = q) when p and q are far apart;
+        # q's side is its mirror image.
+        if early >> v & 1:
+            row = (base + rv[x], mhalf) if v in ctx.pn.n2[x] and leaves >> v & 1 else (base, 0)
+        else:
+            code = _bits(adj[v], y, s)
+            if not code:
+                raise ctx.unreachable(k, table, v, adjacency=(False, False))
+            # by (v ~ y, v ~ s)
+            row = (None, (base, base + rv[x]), (-rv[x], 0), (base, 0))[code]
+        return row if x == p else row[::-1]
 
     def outsider(v: int) -> Vec:
-        if ctx.before(v, k):
+        if early >> v & 1:
             return (mhalf, mhalf)
-        ep, eq, es = ctx.edge(v, p), ctx.edge(v, q), ctx.edge(v, s)
-        if ep and eq and es:
-            return (mhalf, mhalf)
-        if not ep and eq and es:
-            return (base + rv[v], mhalf)
-        if ep and not eq and es:
-            return (mhalf, base + rv[v])
-        if ep and eq and not es:
-            return (-rv[v], -rv[v])
-        if not ep and not eq and es:
-            return (base + rv[v], base + rv[v])
-        raise ctx.unreachable(k, "VII.outside", v, adjacency=(ep, eq, es))
+        code = _bits(adj[v], p, q, s)
+        row = _ONE_EDGE_OUTSIDE[code]
+        if row is None:
+            raise ctx.unreachable(k, "VII.outside", v,
+                                  adjacency=tuple(bool(code >> i & 1) for i in (2, 1, 0)))
+        return row(-rv[v], base + rv[v], mhalf)
 
     out: dict[int, Vec] = {}
     for v in range(ctx.g.n):
@@ -462,44 +475,20 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
         elif v == s:
             out[v] = (rv[s], rv[s])
         elif close and v == tk:
-            if ctx.before(v, k) or ctx.edge(v, s):
+            if (early | adj[s]) >> v & 1:
                 out[v] = (base, base)
             else:
                 out[v] = (-rv[v], -rv[v])
-        elif v in s_near or v in s_second:
-            out[v] = s_family(v)
-        elif not close and (v in p_near or v in p_second):
-            if ctx.before(v, k):
-                if v in p_second and ctx.is_leaf(v):
-                    out[v] = (base + rv[p], mhalf)
-                else:
-                    out[v] = (base, 0)
+        elif v in s_side:
+            if early >> v & 1:
+                out[v] = s_leaf if v in ctx.pn.n2[s] and leaves >> v & 1 else (0, 0)
             else:
-                eq, es = ctx.edge(v, q), ctx.edge(v, s)
-                if eq and es:
-                    out[v] = (base, 0)
-                elif eq and not es:
-                    out[v] = (-rv[p], 0)
-                elif not eq and es:
-                    out[v] = (base, base + rv[p])
-                else:
-                    raise ctx.unreachable(k, "VII.p-side", v, adjacency=(eq, es))
-        elif not close and (v in q_near or v in q_second):
-            if ctx.before(v, k):
-                if v in q_second and ctx.is_leaf(v):
-                    out[v] = (mhalf, base + rv[q])
-                else:
-                    out[v] = (0, base)
-            else:
-                ep, es = ctx.edge(v, p), ctx.edge(v, s)
-                if ep and es:
-                    out[v] = (0, base)
-                elif ep and not es:
-                    out[v] = (0, -rv[q])
-                elif not ep and es:
-                    out[v] = (base + rv[q], base)
-                else:
-                    raise ctx.unreachable(k, "VII.q-side", v, adjacency=(ep, es))
+                # by (v ~ p, v ~ q)
+                out[v] = ((xs, xs), (xs, 0), (0, xs), (0, 0))[_bits(adj[v], p, q)]
+        elif not close and v in p_side:
+            out[v] = side(v, p, q, "VII.p-side")
+        elif not close and v in q_side:
+            out[v] = side(v, q, p, "VII.q-side")
         elif v not in reach:
             out[v] = outsider(v)
         else:
@@ -512,7 +501,7 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
 
 def _super_roles(ctx: _Ctx, pick: PickedSet) -> tuple[int, int, int]:
     if pick.step in (7, 9, 10, 11):
-        leaves = sorted(v for v in pick.vertices if ctx.is_leaf(v))
+        leaves = sorted(v for v in pick.vertices if ctx.leaves >> v & 1)
         if leaves:
             b = leaves[0]
             a, c = sorted(set(pick.vertices) - {b})
@@ -521,65 +510,49 @@ def _super_roles(ctx: _Ctx, pick: PickedSet) -> tuple[int, int, int]:
     return a, b, c
 
 
+# v outside the pick's reach, not picked before k: rows of y = -r(v) and
+# x = base + r(v), by (v ~ a, v ~ b, v ~ c).
+_SUPER_OUTSIDE = (
+    lambda y, x: (y, y), lambda y, x: (y + 1, y),
+    lambda y, x: (x, x), lambda y, x: (x, y + 2),
+    lambda y, x: (y, y + 1), lambda y, x: (y + 1, y + 1),
+    lambda y, x: (y + 2, x), lambda y, x: (y + 2, y + 2),
+)
+
+
 def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
-    rv = ctx.rv
+    rv, adj = ctx.rv, ctx.g.masks
     k = pick.k
+    early = ctx.earlier[k]
     base = -ctx.r + 2 * (k + 1)
     mhalf = -ctx.r // 2 + (k + 1)
     a, b, c = _super_roles(ctx, pick)
     reach = ctx.pn.reach(pick.vertices)
+    xb = base + rv[b]
+    # a's rows are written out; c's are their mirror image: a and c exchanged,
+    # the two coordinates swapped.
+    other = {a: c, c: a}
 
-    out: dict[int, Vec] = {}
-    out[a] = (base - rv[a], rv[a])
-    out[b] = (1 + rv[b], 1 + rv[b])
-    out[c] = (rv[c], base - rv[c])
+    def oriented(x: int, row: Vec) -> Vec:
+        return row[::-1] if x == c else row
 
-    def near_a(v: int) -> Vec:
-        if ctx.before(v, k):
-            return (base, 0)
-        eb, ec = ctx.edge(v, b), ctx.edge(v, c)
-        if not eb and not ec:
-            return (-rv[a], 0)
-        if eb and ec:
-            return (base, 0)
-        if not eb and ec:
-            return (-rv[a] + 1, 0)
-        return (base, base + rv[a])
-
-    def near_b(v: int, guard_central: bool) -> Vec:
-        if ctx.before(v, k):
-            return (1, 1)
-        ea, ec = ctx.edge(v, a), ctx.edge(v, c)
-        if ea and ec:
-            return (1, 1)
-        if ea and not ec:
-            return (1, base + rv[b])
-        if not ea and ec:
-            return (base + rv[b], 1)
-        if guard_central and v in ctx.f.stars:
-            # This case is proven impossible: a star center adjacent to
-            # neither a nor c would have joined the pick earlier.
-            raise ctx.unreachable(k, "VIII.near-b", v, reason="star center")
-        return (base + rv[b], base + rv[b])
-
-    def near_c(v: int) -> Vec:
-        if ctx.before(v, k):
-            return (0, base)
-        ea, eb = ctx.edge(v, a), ctx.edge(v, b)
-        if not ea and not eb:
-            return (0, -rv[c])
-        if ea and eb:
-            return (0, base)
-        if ea and not eb:
-            return (0, -rv[c] + 1)
-        return (base + rv[c], base)
-
-    for v in sorted(ctx.pn.n1[a] - {a, b, c}):
-        out[v] = near_a(v)
-    for v in sorted(ctx.pn.n1[b] - {a, b, c}):
-        out[v] = near_b(v, guard_central=True)
-    for v in sorted(ctx.pn.n1[c] - {a, b, c}):
-        out[v] = near_c(v)
+    def near(x: int, v: int, guard_central: bool) -> Vec:
+        """v's row in role x's component, unless a leaf of N2(x) picked before k."""
+        if x == b:
+            if early >> v & 1:
+                return (1, 1)
+            code = _bits(adj[v], a, c)
+            if not code and guard_central and v in ctx.f.stars:
+                # This case is proven impossible: a star center adjacent to
+                # neither a nor c would have joined the pick earlier.
+                raise ctx.unreachable(k, "VIII.near-b", v, reason="star center")
+            # by (v ~ a, v ~ c)
+            return ((xb, xb), (xb, 1), (1, xb), (1, 1))[code]
+        if early >> v & 1:
+            return oriented(x, (base, 0))
+        # by (v ~ b, v ~ the other end)
+        rows = ((-rv[x], 0), (-rv[x] + 1, 0), (base, base + rv[x]), (base, 0))
+        return oriented(x, rows[_bits(adj[v], b, other[x])])
 
     def linking_neighbor(x: int) -> int:
         near = ctx.pn.n1[x]
@@ -588,69 +561,38 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
                                   reason="second neighborhood without unique link")
         return next(iter(near))
 
-    for v in sorted(ctx.pn.n2[a] - {a} - set(out)):
-        if ctx.before(v, k) and ctx.is_leaf(v):
-            na_x = out[linking_neighbor(a)][0]
-            if na_x != base:
-                out[v] = (base, -rv[a])
+    def second_leaf(x: int, v: int) -> Vec:
+        """The row of v, a leaf of N2(x) picked before k, set by x's link's row."""
+        link = oriented(x, out[linking_neighbor(x)])
+        if x != b:
+            return oriented(x, (base, -rv[x]) if link[0] != base else (base + rv[x], mhalf))
+        row = {(1, 1): (1 - rv[b], 1 - rv[b]), (1, xb): (1 - rv[b], base),
+               (xb, 1): (base, 1 - rv[b])}.get(link)
+        if row is None:
+            raise ctx.unreachable(k, "VIII.second-b", v, link_value=link)
+        return row
+
+    out: dict[int, Vec] = {x: oriented(x, (base - rv[x], rv[x])) for x in (a, c)}
+    out[b] = (1 + rv[b], 1 + rv[b])
+    for x in (a, b, c):
+        for v in sorted(ctx.pn.n1[x] - {a, b, c}):
+            out[v] = near(x, v, guard_central=True)
+    for x in (a, b, c):
+        for v in sorted(ctx.pn.n2[x] - {x} - set(out)):
+            if early >> v & 1 and ctx.leaves >> v & 1:
+                out[v] = second_leaf(x, v)
             else:
-                out[v] = (base + rv[a], mhalf)
-        elif ctx.before(v, k):
-            out[v] = (base, 0)
-        else:
-            out[v] = near_a(v)
-    for v in sorted(ctx.pn.n2[b] - {b} - set(out)):
-        if ctx.before(v, k) and ctx.is_leaf(v):
-            nb_val = out[linking_neighbor(b)]
-            if nb_val == (1, 1):
-                out[v] = (1 - rv[b], 1 - rv[b])
-            elif nb_val == (1, base + rv[b]):
-                out[v] = (1 - rv[b], base)
-            elif nb_val == (base + rv[b], 1):
-                out[v] = (base, 1 - rv[b])
-            else:
-                raise ctx.unreachable(k, "VIII.second-b", v, link_value=nb_val)
-        elif ctx.before(v, k):
-            out[v] = (1, 1)
-        else:
-            out[v] = near_b(v, guard_central=False)
-    for v in sorted(ctx.pn.n2[c] - {c} - set(out)):
-        if ctx.before(v, k) and ctx.is_leaf(v):
-            nc_y = out[linking_neighbor(c)][1]
-            if nc_y != base:
-                out[v] = (-rv[c], base)
-            else:
-                out[v] = (mhalf, base + rv[c])
-        elif ctx.before(v, k):
-            out[v] = (0, base)
-        else:
-            out[v] = near_c(v)
+                out[v] = near(x, v, guard_central=False)
 
     for v in range(ctx.g.n):
         if v in out:
             continue
         if v in reach:
             raise ctx.unreachable(k, "VIII", v)
-        if ctx.before(v, k):
+        if early >> v & 1:
             out[v] = (-rv[v] // 2, -rv[v] // 2)
             continue
-        ea, eb, ec = ctx.edge(v, a), ctx.edge(v, b), ctx.edge(v, c)
-        if not ea and not eb and not ec:
-            out[v] = (-rv[v], -rv[v])
-        elif ea and not eb and not ec:
-            out[v] = (-rv[v], -rv[v] + 1)
-        elif not ea and eb and not ec:
-            out[v] = (base + rv[v], base + rv[v])
-        elif not ea and not eb and ec:
-            out[v] = (-rv[v] + 1, -rv[v])
-        elif ea and eb and not ec:
-            out[v] = (-rv[v] + 2, base + rv[v])
-        elif ea and not eb and ec:
-            out[v] = (-rv[v] + 1, -rv[v] + 1)
-        elif not ea and eb and ec:
-            out[v] = (base + rv[v], -rv[v] + 2)
-        else:
-            out[v] = (-rv[v] + 2, -rv[v] + 2)
+        out[v] = _SUPER_OUTSIDE[_bits(adj[v], a, b, c)](-rv[v], base + rv[v])
     return out
 
 

@@ -25,6 +25,16 @@ CLASS_V = "6 8\n0 1\n0 2\n0 3\n0 4\n1 5\n2 5\n3 5\n4 5\n"
 CLASS_VI_1 = "9 17\n0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n0 7\n0 8\n1 2\n1 3\n1 5\n1 6\n1 8\n2 3\n2 5\n2 7\n2 8\n"
 CLASS_VI_2 = "9 18\n0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n0 7\n0 8\n1 2\n1 3\n1 4\n1 5\n1 6\n1 7\n2 3\n2 5\n2 6\n2 8\n"
 
+# Graphs of the networkx graph atlas, by atlas index (1236 relabelled), that
+# reach case-table rows no other golden reaches: class IV's one-related-pair
+# and triangle rows, VII's tk rows and side leaf rows.
+ATLAS51 = "5 9\n0 1\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+ATLAS106 = "6 6\n0 4\n0 5\n1 2\n1 3\n2 3\n4 5\n"
+ATLAS279 = "7 6\n0 1\n1 3\n1 4\n2 6\n3 6\n4 5\n"
+ATLAS281 = "7 6\n0 3\n0 4\n1 2\n2 3\n2 4\n5 6\n"
+ATLAS418 = "7 8\n0 1\n0 4\n2 3\n2 5\n2 6\n3 5\n3 6\n5 6\n"
+ATLAS1236 = "7 17\n0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n1 2\n1 3\n1 4\n1 5\n1 6\n2 6\n3 4\n3 5\n3 6\n4 5\n5 6\n"
+
 
 def planted_stars(n: int, seed: int) -> Graph:
     """n/4 centres joined as G(c, 1/2), every other vertex a pendant leaf of a

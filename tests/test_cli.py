@@ -13,12 +13,13 @@ import tempfile
 import threading
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sigdim
-from sigdim import embed, generate_random, parse_graph
+from sigdim import Graph, embed, generate_random, parse_graph
 from sigdim.cli import embedding_from_json, main
 from conftest import C3, K2, K13, planted_stars
 
@@ -59,6 +60,34 @@ def test_embed_isolated_vertex(tmp_path, capsys):
     code, _, stderr = run(capsys, "embed", path)
     assert code == 1
     assert "isolated vertex 2" in stderr
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+def test_isolated_vertex_rejected_before_the_points(tmp_path, capsys, command):
+    path = tmp_path / "bad.txt"
+    path.write_text("3 1\n0 1\n")
+    argv = [command, path] + ([tmp_path / "missing.json"] if command == "verify" else [])
+    code, _, stderr = run(capsys, *argv)
+    assert code == 1 and stderr == "error: isolated vertex 2\n"
+
+
+@pytest.mark.parametrize("command,checks", [("embed", 2), ("oracle", 1), ("verify", 1)])
+def test_embeddability_checked_once_per_stage(tmp_path, capsys, k2_file, command, checks):
+    # embed checks in `embed` and again, for library callers, in `star_triangle_factor`.
+    points = tmp_path / "k2.json"
+    run(capsys, "embed", k2_file, "-o", points)
+    calls = 0
+    check = Graph.require_embeddable
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return check(self)
+
+    argv = [command, k2_file] + ([points] if command == "verify" else ["-o", tmp_path / "o.json"])
+    with patch.object(Graph, "require_embeddable", counted):
+        assert run(capsys, *argv)[0] == 0
+    assert calls == checks
 
 
 def test_embed_c3(tmp_path, capsys):

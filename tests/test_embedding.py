@@ -4,14 +4,18 @@ import hashlib
 import json
 from fractions import Fraction
 from math import ceil, floor
+from unittest.mock import patch
 
 import pytest
 
-from sigdim import dimension_bound, embed, generate_random, parse_graph, verify
+from sigdim import (Graph, Matching, PickedSet, PickSequence, PipelineError, dimension_bound,
+                    embed, embedding, generate_random, parse_graph, verify)
 from sigdim.embedding import block_dims, check_accounting
+from sigdim.factor import StarTriangleFactor
 from sigdim.picking import PickClass
-from conftest import (C3, C5, CLASS_V, CLASS_VI_1, CLASS_VI_2, K13, K2, P3, TWO_K2,
-                      planted_stars)
+from sigdim.pseudo import build_pseudo, default_radius, radius_schedule
+from conftest import (ATLAS51, ATLAS106, ATLAS279, ATLAS281, ATLAS418, ATLAS1236, C3, C5,
+                      CLASS_V, CLASS_VI_1, CLASS_VI_2, K13, K2, P3, TWO_K2, planted_stars)
 
 
 def coords_of(text, r=None):
@@ -72,6 +76,41 @@ FULL_GOLDENS = [
     # Dense: steps 22, 24, 40, 43 and 45.
     ("DENSE48", None, "237f5566941fa4c1aadf75b11601f636eaee3ca6b942976939379d2488ed1699"),
     ("DENSE48", Fraction(7, 3), "40fa20271d3c28b9380a9192f802f161e695a081788df5d3c3f9df4e2d49a9d1"),
+    # Case-table rows no golden above reaches, one or more per graph:
+    # DENSE46: VII's s-family row for v ~ p alone, outside row for v ~ s alone, q-side
+    # row for v ~ s alone; VIII's near-a row for v ~ b alone.
+    ("DENSE46", None, "c6488d9546bec7256a905ebc0943f1c097abc1265a098d4d32b64a76b7690bb8"),
+    ("DENSE46", Fraction(7, 3), "e88565752f59da3c4fc9abbf52e4657fb16e692a22744743e74632eeb677ebac"),
+    # SPARSE26: VII's s-family leaf row (p, q far apart) and p-side row for v ~ s alone.
+    ("SPARSE26", None, "5ec36d66fa1df77fc4bad3817e865270ec70486d60ae76e25954dce7b8c3bb9c"),
+    ("SPARSE26", Fraction(7, 3), "e030a3f65be1daccb7c4d314f2c002548f531ab9b650037b72545135f4c5babd"),
+    # DENSE22: VII's p-side and q-side rows for v adjacent to the other end alone.
+    ("DENSE22", None, "79ef0c2a021a312c13602173d27189a021b62794ce2d9c93cb887de39b94faba"),
+    ("DENSE22", Fraction(7, 3), "8472b1b2346c20fb02c7d758998a8c70a255cd2a5f88bd1d60b16b8b77f48747"),
+    # SPARSE14: VIII's n2[a] row picked before k, not a leaf.
+    ("SPARSE14", None, "3f5d14eaf0e0c79ddd816be4cfd8a589cd58bc93c0158dab71708601f30aee0c"),
+    ("SPARSE14", Fraction(7, 3), "960237627cb8df29a5be8f935c885cf88f266133d0b2d4971e18c0a9270bf84e"),
+    # STARS120: VIII's n2[b] link rows and n2[c] leaf row.
+    ("STARS120", None, "59a2316f347f19b0220c1821aa7d47d9e9d4c824514860c566687cfb8dad4f29"),
+    ("STARS120", Fraction(7, 3), "3cf3920f2cb9532b8cadb248ad3bdbc97231a8d536a17ac90fd70dfab7b0a733"),
+    # ATLAS51: IV's one-related-pair row for N(p) and N(q).
+    ("ATLAS51", None, "0ebb9b60a45ee8e1373e7d4916106e9700b3a4b648ae4dfc4ebbace0a7f4ed79"),
+    ("ATLAS51", Fraction(7, 3), "28c0af09c0ac05b43814cdf02b9713c684a6eb0e78109a379bbca38b31d718cf"),
+    # ATLAS106: VII's two tk rows.
+    ("ATLAS106", None, "83755188d7e2895f980afd04c63a5e1c82cf08cdb23b6b9e1acfece462c3f121"),
+    ("ATLAS106", Fraction(7, 3), "213570fa8ef911991f31af88f0286b65667527ca5d8d3d46ab510b32bd987912"),
+    # ATLAS279: VII's p-side leaf row.
+    ("ATLAS279", None, "ef9ffdbf6c774062acc56263baff32f159c2eaf56e8da51fc0e011887d7e01cc"),
+    ("ATLAS279", Fraction(7, 3), "18038beaf936ca9c16c50c7006ab3664f01a18442c182b52abc458e509b45c36"),
+    # ATLAS281: VII's q-side leaf row.
+    ("ATLAS281", None, "c5a8a687f70c8788ce926e32060a0bbe510c73757b998bb121262381c04984c4"),
+    ("ATLAS281", Fraction(7, 3), "d132f61ef376118f6b1d64ac69f67da1f0d7f71143cc97cc41572936181a99f0"),
+    # ATLAS418: VII's s-family leaf row (p, q close).
+    ("ATLAS418", None, "b37f88879a471d4622ffb82ec08e974a690287161a2a1209c84eec85e796759e"),
+    ("ATLAS418", Fraction(7, 3), "5cbbcb1ea9e9c043192c27fc9349b61329f38365138323144021638c6a5e4a1c"),
+    # ATLAS1236: IV's triangle row for the other vertices.
+    ("ATLAS1236", None, "3ec55ed87fec52c56435546751b1f1cf73658c49b85cad96454c9b8771760286"),
+    ("ATLAS1236", Fraction(7, 3), "af23e132cf9cc9ff46bc1e65dcc4579f9965cabef131619588715f9e9fe427dc"),
 ]
 GOLDEN_GRAPHS = {
     "CLASS_V": lambda: parse_graph(CLASS_V),
@@ -82,6 +121,17 @@ GOLDEN_GRAPHS = {
     "STARS1": lambda: planted_stars(24, 1),
     "STARS6": lambda: planted_stars(24, 6),
     "DENSE48": lambda: generate_random(48, 9 / 10, 7),
+    "DENSE46": lambda: generate_random(46, 9 / 10, 2),
+    "SPARSE26": lambda: generate_random(26, 1 / 10, 0),
+    "DENSE22": lambda: generate_random(22, 9 / 10, 3),
+    "SPARSE14": lambda: generate_random(14, 1 / 5, 1),
+    "STARS120": lambda: planted_stars(120, 6),
+    "ATLAS51": lambda: parse_graph(ATLAS51),
+    "ATLAS106": lambda: parse_graph(ATLAS106),
+    "ATLAS279": lambda: parse_graph(ATLAS279),
+    "ATLAS281": lambda: parse_graph(ATLAS281),
+    "ATLAS418": lambda: parse_graph(ATLAS418),
+    "ATLAS1236": lambda: parse_graph(ATLAS1236),
 }
 
 
@@ -194,3 +244,76 @@ def test_super_triple_steps_from_disjoint_stars():
     assert steps[0] == 7
     assert all(s == 22 for s in steps[1:])
     assert verify(g, emb).verdict == "pass"
+
+
+def test_case_tables_read_masks():
+    # The builders read adjacency from Graph.masks: no edge lookups per vertex.
+    g = generate_random(120, 9 / 10, 7)
+    calls = inside = 0
+    has_edge, assign = Graph.has_edge, embedding.assign_block
+
+    def counted(self, u, v):
+        nonlocal calls
+        calls += inside
+        return has_edge(self, u, v)
+
+    def traced(ctx, k):
+        nonlocal inside
+        inside = 1
+        try:
+            return assign(ctx, k)
+        finally:
+            inside = 0
+
+    with patch.object(Graph, "has_edge", counted), \
+            patch.object(embedding, "assign_block", traced):
+        emb = embed(g)
+    assert {PickClass.ONE_EDGE_TRIPLE, PickClass.SUPER_TRIPLE} <= {p.cls for p in emb.picks.picks}
+    assert calls == 0
+
+
+def _forged_ctx(n, edges, stars, matching, picks):
+    """A block context built by hand: picks are (vertices, class, step, roles)."""
+    f = StarTriangleFactor({u: frozenset(s) for u, s in stars.items()}, frozenset(),
+                           Matching(frozenset(matching)))
+    seq = PickSequence(tuple(PickedSet(k, tuple(vs), PickClass(c), step, roles)
+                             for k, (vs, c, step, roles) in enumerate(picks)))
+    pn = build_pseudo(f, seq)
+    return embedding._Ctx(Graph.from_edges(n, edges), f, seq, pn,
+                          radius_schedule(pn, seq, default_radius(n)))
+
+
+_ONE_EDGE = ([(0, 1), (1, 3), (0, 4), (2, 5)], {}, [(0, 4), (1, 3), (2, 5)])
+_SIDE_TAIL = [((3, 4, 5), "VIII", 22, {})]
+
+
+@pytest.mark.parametrize("ctx,table,vertex,detail", [
+    # Vertex 3 lies in q's component and is adjacent to neither p nor s.
+    (lambda: _forged_ctx(6, *_ONE_EDGE, [((0, 1, 2), "VII", 24, {"p": 0, "q": 1, "s": 2}),
+                                         *_SIDE_TAIL]),
+     "VII.q-side", 3, {"adjacency": [False, False]}),
+    # The same block with p and q swapped: vertex 3 is on p's side.
+    (lambda: _forged_ctx(6, *_ONE_EDGE, [((0, 1, 2), "VII", 24, {"p": 1, "q": 0, "s": 2}),
+                                         *_SIDE_TAIL]),
+     "VII.p-side", 3, {"adjacency": [False, False]}),
+    # Vertex 6 lies outside the pick's reach and is adjacent to none of p, q, s.
+    (lambda: _forged_ctx(8, [(0, 1), (1, 3), (0, 4), (2, 5), (2, 3), (2, 4), (6, 7)], {},
+                         [(0, 4), (1, 3), (2, 5), (6, 7)],
+                         [((0, 1, 2), "VII", 24, {"p": 0, "q": 1, "s": 2}), *_SIDE_TAIL,
+                          ((6, 7), "I", 45, {})]),
+     "VII.outside", 6, {"adjacency": [False, False, False]}),
+    # b = 1 is a leaf of star 3, which is picked later and adjacent to neither a nor c.
+    (lambda: _forged_ctx(7, [(1, 3), (3, 4), (0, 5), (2, 6)], {3: {1, 4}}, [(0, 5), (2, 6)],
+                         [((0, 1, 2), "VIII", 22, {}), ((3, 4, 5), "VIII", 22, {}),
+                          ((6,), "I", 45, {})]),
+     "VIII.near-b", 3, {"reason": "star center"}),
+])
+def test_unreachable_rows_keep_their_diagnostics(ctx, table, vertex, detail):
+    with pytest.raises(PipelineError) as info:
+        embedding.assign_block(ctx(), 0)
+    # Compared as JSON text: adjacency must stay booleans, not the 0/1 of a mask bit.
+    assert json.dumps(info.value.to_json()) == json.dumps({
+        "stage": "embedder",
+        "message": f"[embedder] block 0, table {table}: no row matches vertex {vertex}",
+        "details": {"k": 0, "table": table, "vertex": vertex, **detail},
+    })
