@@ -554,16 +554,10 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
         rows = ((-rv[x], 0), (-rv[x] + 1, 0), (base, base + rv[x]), (base, 0))
         return oriented(x, rows[_bits(adj[v], b, other[x])])
 
-    def linking_neighbor(x: int) -> int:
-        near = ctx.pn.n1[x]
-        if len(near) != 1:
-            raise ctx.unreachable(k, "VIII.second", x,
-                                  reason="second neighborhood without unique link")
-        return next(iter(near))
-
     def second_leaf(x: int, v: int) -> Vec:
         """The row of v, a leaf of N2(x) picked before k, set by x's link's row."""
-        link = oriented(x, out[linking_neighbor(x)])
+        # v in N2(x) - {x} makes x a leaf of v's star; a leaf's one pseudo-neighbor is its link.
+        link = oriented(x, out[next(iter(ctx.pn.n1[x]))])
         if x != b:
             return oriented(x, (base, -rv[x]) if link[0] != base else (base + rv[x], mhalf))
         row = {(1, 1): (1 - rv[b], 1 - rv[b]), (1, xb): (1 - rv[b], base),

@@ -13,8 +13,10 @@ int each.  ``compute_sig`` asks it once per pair, at r_u + r_v;
 same sweep.  The exact distance table (``PointSet.distances``) is built only
 when radii must be found rather than confirmed (no claim, a claim below 1 or
 one that fails), for radii below 0, and for small point sets, where it is
-cheaper than packing the rows.  ``verify`` runs the same kernel over the
-columns of a point set, to screen a block's distances from one point to all.
+cheaper than packing the rows.  ``verify`` makes no sweep when its inequality
+suite passes: it tests its pseudo-neighbor and edge pairs one by one, and runs
+the same kernel over the columns of a point set, to screen a block's distances
+from one point to all.
 
 ``oracle_embed_2ia`` is the unconditional n-dimensional realization taking
 point v to row v of 2I + A; it is the reference oracle for everything else.
@@ -111,7 +113,7 @@ class PointSet:
 
         One sweep per radius vector, of the exact table when it is small, built
         or r has an entry below 0, and of the kernel otherwise; the result is
-        kept, so the radius check, the SIG and verify's edge prefilter share it.
+        kept, so the radius check and the SIG share it.
         """
         key, n = tuple(radius), len(radius)
         if key in self._closer:

@@ -13,26 +13,37 @@ Four independent checks, all in exact arithmetic:
       (4) same bound for non-edges not sharing a star, v picked >= k,
       (5) |c_k(v) - c_k(u)| < r(u) + r(v)       for every edge.
 
-The suite is diagnostic: taken over all k it implies the first two checks,
-but the direct recomputation is the authoritative criterion.  The verifier
-never consults the embedder's case decisions, only the coordinate matrix,
-the graph, and the pipeline trace (picks, factor, schedule).
+The suite is the certificate.  Take it over all k, with every grid radius at
+least 1, every u holding a pseudo-neighbor nu != u, and the blocks covering
+every coordinate, so that a bound in every block is a bound on rho:
+
+  * radii: (2) covers every pair from its later-picked end, so rho(u,v) >=
+    max(r(u), r(v)) >= 1; (1) then attains r(u) at nu;
+  * non-edges: (3) covers a non-edge inside one star from its later-picked
+    end, and (4) any other from its earlier-picked end: rho >= r(u) + r(v);
+  * edges: (5) gives rho < r(u) + r(v).
+
+A clean suite under those conditions thus certifies the first two checks, and
+``verify`` recomputes them only otherwise; that path builds every failing
+report.  The verifier never consults the embedder's case decisions, only the
+coordinate matrix, the graph, and the pipeline trace (picks, factor, schedule).
 
 Radii join the coordinates on one integer grid (a radius off the point set's
 grid, from outside input, puts a copy of it on a finer one, made once); only
 the report holds Fractions.  Every check is a threshold question, so none
-needs rho itself.  The scheduled radii are a claim that ``compute_radii``
-confirms with ``sig.ThresholdKernel``; the SIG is one kernel sweep at r(u) +
-r(v).  The table of exact distances is built only when a claim fails or lies
-below 1, or when the point set is small.  A
-block's distance never exceeds rho, so rho(u,nu) <= r(u), or rho(u,v) < r(u)
-+ r(v) on an edge, clears that pair of (1) or (5) in every block; only the
-other pairs are re-evaluated, block by block, as a full per-block scan orders
-them.  For (2)-(4), ``_Screen`` runs the kernel over the columns, so one
-subtraction holds u against every v, and decides each family with vertex
-masks built once per u, each holding exactly the v its family covers: (2)
-the v picked at or before k; (3) u's star mates picked at or before k, and
-(4) the v outside u's star picked at or after k, both among u's
+needs rho itself.  When recomputed, the scheduled radii are a claim that
+``compute_radii`` confirms with ``sig.ThresholdKernel``, and the SIG is one
+kernel sweep at r(u) + r(v).  The table of exact distances is built only when
+a radius lies below 0 or the point set is small, and on the recomputing path
+when a claim fails or lies below 1.  A block's distance never exceeds rho, so
+rho(u,nu) <= r(u), or rho(u,v) < r(u) + r(v) on an edge, clears that pair of
+(1) or (5) in every block; one kernel test per pseudo-neighbor and per edge
+finds the other pairs, which are re-evaluated, block by block, as a full
+per-block scan orders them.  For (2)-(4), ``_Screen`` runs the kernel over the
+columns, so one subtraction holds u against every v, and decides each family
+with vertex masks built once per u, each holding exactly the v its family
+covers: (2) the v picked at or before k; (3) u's star mates picked at or
+before k, and (4) the v outside u's star picked at or after k, both among u's
 non-neighbours.  A star mate picked after k is in no family's mask.  Only a
 u it flags gets the exact per-pair pass, so the failure list is that of a
 full scan.
@@ -113,17 +124,19 @@ class _Grid:
         n1 = emb.pseudo.n1
         # A block's distance never exceeds rho, so only these pairs can fail
         # (1) or (5) in some block.
-        if points.small:
+        if points.small or min(rv) < 0:
             table = points.distances
             self.far_pseudo = [(u, v) for u in range(n) for v in n1[u] if table[u][v] > rv[u]]
             self.long_edges = [(u, v) for u, a in enumerate(g.adj) for v in a
                                if v > u and table[u][v] >= rv[u] + rv[v]]
-        else:
+        else:  # one kernel test per pseudo-neighbor and per edge, no C(n, 2) sweep
+            near, rows = points.kernel.near, points.kernel.lowered(rv)
             self.far_pseudo, self.long_edges = [], []
-            for u, (a, closer) in enumerate(zip(g.adj, points.closer(rv))):
-                within, closer = set(points.kernel.near(u, n1[u], rv[u] + 1)), set(closer)
+            for u, a in enumerate(g.adj):
+                edges = [v for v in a if v > u]
+                within, close = set(near(u, n1[u], rv[u] + 1)), set(near(u, edges, rv[u], rows))
                 self.far_pseudo.extend((u, v) for v in n1[u] if v not in within)
-                self.long_edges.extend((u, v) for v in a if v > u and v not in closer)
+                self.long_edges.extend((u, v) for v in edges if v not in close)
 
 
 class _Screen:
@@ -232,36 +245,35 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
         raise ValueError(f"embedding is for n={emb.graph.n}, graph has n={g.n}")
 
     diagnostics: dict[str, Any] = {}
-
     grid = _Grid(g, emb)
-    try:
-        radii = compute_radii(grid.points, grid.rv)
-        realized = compute_sig(grid.points, radii)
-    except ValueError as exc:
-        diagnostics["degenerate"] = str(exc)
-        return VerificationReport(False, False, False, [], diagnostics)
+    failures = [f for k in range(emb.picks.count) for f in check_inequalities(g, emb, k, grid)]
+    sig_equal = radius_agree = True  # what a clean suite implies, by the module docstring
+    if (failures or min(grid.rv) < 1 or grid.dims[-1].stop != emb.d
+            or not all(emb.pseudo.n1[u] - {u} for u in range(g.n))):
+        try:
+            radii = compute_radii(grid.points, grid.rv)
+            realized = compute_sig(grid.points, radii)
+        except ValueError as exc:
+            diagnostics["degenerate"] = str(exc)
+            return VerificationReport(False, False, False, [], diagnostics)
 
-    sig_equal = realized.edges == g.edges
-    if not sig_equal:
-        diagnostics["missing_edges"] = [list(e) for e in sorted(g.edges - realized.edges)[:10]]
-        diagnostics["extra_edges"] = [list(e) for e in sorted(realized.edges - g.edges)[:10]]
+        sig_equal = realized.edges == g.edges
+        if not sig_equal:
+            diagnostics["missing_edges"] = [list(e) for e in sorted(g.edges - realized.edges)[:10]]
+            diagnostics["extra_edges"] = [list(e) for e in sorted(realized.edges - g.edges)[:10]]
 
-    mismatches = [v for v in range(g.n) if radii[v] != grid.rv[v]]
-    radius_agree = not mismatches
-    if mismatches:
-        diagnostics["radius_mismatches"] = [
-            {"vertex": v, "actual": rat_to_json(Fraction(radii[v], grid.points.scale)),
-             "scheduled": rat_to_json(emb.schedule.rv[v])}
-            for v in mismatches[:10]
-        ]
+        mismatches = [v for v in range(g.n) if radii[v] != grid.rv[v]]
+        radius_agree = not mismatches
+        if mismatches:
+            diagnostics["radius_mismatches"] = [
+                {"vertex": v, "actual": rat_to_json(Fraction(radii[v], grid.points.scale)),
+                 "scheduled": rat_to_json(emb.schedule.rv[v])}
+                for v in mismatches[:10]
+            ]
 
     general, refined = dimension_bound(g.n)
     bound_ok = emb.d <= general
     if not bound_ok:
         diagnostics["dimension"] = {"d": emb.d, "general": general, "refined": refined}
-
-    failures: list[InequalityFailure] = []
-    for k in range(emb.picks.count):
-        failures.extend(check_inequalities(g, emb, k, grid))
 
     return VerificationReport(sig_equal, radius_agree, bound_ok, failures, diagnostics)

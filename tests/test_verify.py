@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -10,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 import sigdim.sig
 from sigdim import (PointSet, build_pseudo, check_inequalities, embed, generate_random,
                     oracle_embed_2ia, parse_graph, verify)
-from sigdim.embedding import block_dims
+from sigdim.cli import embedding_from_json
+from sigdim.embedding import Embedding, block_dims
+from sigdim.matching import Matching
 from sigdim.picking import PickClass, PickedSet, PickSequence
+from sigdim.pseudo import radius_schedule
 from sigdim.verify import _Grid
 from conftest import C3, K13, K2, planted_stars
 
@@ -77,11 +81,11 @@ def test_residual_boundary_instance():
 
 
 def test_suite_clean_implies_direct_checks(corpus5):
+    # A clean suite stands in for the SIG and radius recomputation, so the
+    # implication is checked against the independent Fraction verifier.
     for g in corpus5:
         emb = embed(g)
-        rep = verify(g, emb)
-        if not rep.inequality_failures:
-            assert rep.sig_equal and rep.radius_agree
+        assert verify(g, emb).to_json() == reference_report(g, emb)
 
 
 def test_vertex_count_mismatch():
@@ -351,6 +355,53 @@ def test_passing_verify_computes_no_distance(monkeypatch):
     assert len(calls) == len(set(calls)) == g.n * (g.n - 1) // 2
 
 
+class Recomputed(Exception):
+    pass
+
+
+def test_passing_verify_skips_the_recomputation(monkeypatch):
+    # A clean suite certifies the SIG and the radii: no sweep, no recomputation,
+    # on a kernel-sized point set and on a small one.
+    big, small = generate_random(60, 0.5, 11), parse_graph(K13)
+    embs = {g: embed(g) for g in (big, small)}
+    assert not embs[big].points.small and embs[small].points.small
+
+    def recompute(*args, **kwargs):
+        raise Recomputed
+
+    module = importlib.import_module("sigdim.verify")  # the package's ``verify`` is the function
+    for target, name in ((module, "compute_radii"), (module, "compute_sig"), (PointSet, "closer")):
+        monkeypatch.setattr(target, name, recompute)
+    for g, emb in embs.items():
+        assert verify(g, emb).verdict == "pass"
+    with pytest.raises(Recomputed):
+        verify(big, tamper_rv(embs[big], 17, lambda r: r + 2))
+
+
+def test_self_witness_file_takes_the_recomputing_path():
+    # The loader does not check the factor against the graph, so a file may list
+    # a vertex as the one leaf of its own star: here a matched pair (c, w) becomes
+    # the stars {c: [c]} and {w: [w]}.  Then N(c) = {c} and family (1) has
+    # nothing to check at c, so with r(c) one grid unit low the suite passes
+    # while no point lies at distance r(c) from c.
+    g = generate_random(60, 0.5, 11)
+    emb = embed(g)
+    assert not emb.points.small
+    c, w = min(emb.factor.residual.edges)
+    factor = replace(emb.factor, stars={c: frozenset([c]), w: frozenset([w]), **emb.factor.stars},
+                     residual=Matching(emb.factor.residual.edges - {(c, w)}))
+    pseudo = build_pseudo(factor, emb.picks)
+    rv = {**emb.schedule.rv, c: emb.schedule.rv[c] - Fraction(1, emb.points.scale)}
+    schedule = replace(radius_schedule(pseudo, emb.picks, emb.schedule.r), rv=rv)
+    text = json.dumps(Embedding(g, factor, emb.picks, pseudo, schedule, emb.points).to_json())
+    loaded = embedding_from_json(g, json.loads(text))
+    assert loaded.pseudo.n1[c] == {c}
+    report = verify(g, loaded).to_json()
+    assert report["inequality_failures"] == [] and not report["radius_agree"]
+    assert [m["vertex"] for m in report["diagnostics"]["radius_mismatches"]] == [c]
+    assert_same_report(g, loaded)
+
+
 def tamper_rv(emb, vertex, value):
     rv = dict(emb.schedule.rv)
     rv[vertex] = value(rv[vertex])
@@ -375,6 +426,18 @@ def test_verify_matches_reference_on_coincident_points():
     coords = list(emb.points.points)
     coords[30] = coords[4]
     assert_same_report(g, replace(emb, points=PointSet.from_rows(coords)))
+
+
+def test_verify_matches_reference_on_a_column_in_no_block():
+    # A library caller can pass more columns than the picks' blocks cover.  The
+    # suite never reads the extra one, so it certifies nothing there, although
+    # moving vertex 4 away along it breaks the SIG and the radii.
+    g = generate_random(45, 0.5, 7)
+    emb = embed(g)
+    coords = [row + (10**6 if v == 4 else 0,) for v, row in enumerate(emb.points.points)]
+    moved = replace(emb, points=PointSet.from_rows(coords))
+    assert not verify(g, moved).inequality_failures
+    assert_same_report(g, moved)
 
 
 @given(embedded_gnp(), coordinate_moves)
