@@ -27,7 +27,7 @@ from typing import Any, Iterator
 
 from .embedding import Embedding, block_dims, dimension_bound, embed
 from .errors import GraphInputError, PipelineError
-from .factor import StarTriangleFactor
+from .factor import StarTriangleFactor, validate_factor
 from .graphs import Graph, generate_exhaustive, parse_graph, sample_gnp
 from .matching import Matching
 from .picking import PickClass, PickedSet, PickSequence
@@ -122,7 +122,8 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     be exactly what ``Embedding.to_json`` writes, compared as JSON text, so that
     0.0 or true does not pass for 0 or 1, nor "4/2" for 2.  The sources must
     also agree with each other: the picks partition the vertices, the factor
-    covers them, and the block widths sum to the coordinate width.
+    covers them and is a star-triangle factor of ``g`` (else ``PipelineError``),
+    and the block widths sum to the coordinate width.
     """
     trace = data["trace"]
     rows = _coord_rows(data["coords"])
@@ -149,6 +150,7 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
             or not all(p.vertices for p in picks.picks)):
         raise ValueError("trace.picks must partition the vertices into non-empty sets "
                          "and trace.factor cover them")
+    validate_factor(g, factor)
     _ints([p.step for p in picks.picks], "pick steps")
     if sum(map(len, block_dims(picks))) != points.d:
         raise ValueError(f"the block widths must sum to the coordinate width {points.d}")

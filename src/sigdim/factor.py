@@ -139,10 +139,13 @@ def validate_factor(g: Graph, f: StarTriangleFactor) -> None:
         raise PipelineError("factor", f"vertices {missing} uncovered", vertices=missing)
 
     # All leaves together are independent; this covers both the induced-star
-    # requirement and non-adjacency of leaves from different stars.
-    leaves = sorted(f.leaf_center)
-    for a, b in combinations(leaves, 2):
-        if g.has_edge(a, b):
+    # requirement and non-adjacency of leaves from different stars.  The first
+    # pair found is the smallest leaf a and its lowest adjacent leaf b > a.
+    leaves = sum(1 << x for x in f.leaf_center)
+    for a in sorted(f.leaf_center):
+        later = g.masks[a] & leaves >> (a + 1) << (a + 1)
+        if later:
+            b = (later & -later).bit_length() - 1
             raise PipelineError(
                 "factor",
                 f"leaves {a} and {b} are adjacent"

@@ -6,17 +6,17 @@ rho(u,v) < r_u + r_v with rho the coordinatewise max metric.  The comparison
 is strict and exact: the constructions verified here place non-edges exactly
 on the boundary rho = r_u + r_v, where floating point would misclassify.
 
-Both are threshold questions on grid integers (radii too), so neither needs
-rho itself.  ``ThresholdKernel`` decides rho(u,v) < t on rows packed into one
-int each.  ``compute_sig`` asks it once per pair, at r_u + r_v;
-``compute_radii``, given claimed radii, confirms them on the pairs of that
-same sweep.  The exact distance table (``PointSet.distances``) is built only
-when radii must be found rather than confirmed (no claim, a claim below 1 or
-one that fails), for radii below 0, and for small point sets, where it is
-cheaper than packing the rows.  ``verify`` makes no sweep when its inequality
-suite passes: it tests its pseudo-neighbor and edge pairs one by one, and runs
-the same kernel over the columns of a point set, to screen a block's distances
-from one point to all.
+An edge is a threshold question on grid integers, radii included, so the
+SIG needs no rho itself.  ``ThresholdKernel`` decides rho(u,v) < t on rows packed
+into one int each; ``compute_sig`` asks it once per pair, at r_u + r_v.
+``compute_radii`` reads the radii off the exact distance table
+(``PointSet.distances``), which ``compute_sig`` also sweeps for radii below 0
+and for small point sets, where it is cheaper than packing the rows.
+``verify`` checks scheduled radii on the SIG swept at them, so it builds the
+table only when they are not the radii; when its inequality suite passes it
+makes no sweep at all.  It tests its pseudo-neighbor and edge pairs one by
+one, and runs the same kernel over the columns of a point set, to screen a
+block's distances from one point to all.
 
 ``oracle_embed_2ia`` is the unconditional n-dimensional realization taking
 point v to row v of 2I + A; it is the reference oracle for everything else.
@@ -103,30 +103,6 @@ class PointSet:
     def small(self) -> bool:
         """Whether the exact table is cheaper than packing rows for the kernel."""
         return len(self.grid) ** 2 * self.d <= SMALL_TABLE
-
-    @cached_property
-    def _closer(self) -> dict[tuple[int, ...], list[list[int]]]:
-        return {}
-
-    def closer(self, radius: list[int]) -> list[list[int]]:
-        """closer(r)[u]: the v > u with rho(u,v) < r_u + r_v, for grid radii r.
-
-        One sweep per radius vector, of the exact table when it is small, built
-        or r has an entry below 0, and of the kernel otherwise; the result is
-        kept, so the radius check and the SIG share it.
-        """
-        key, n = tuple(radius), len(radius)
-        if key in self._closer:
-            return self._closer[key]
-        if self.small or "distances" in vars(self) or min(radius) < 0:
-            table = self.distances
-            found = [[v for v in range(u + 1, n) if table[u][v] < r + radius[v]]
-                     for u, r in enumerate(radius)]
-        else:
-            rows = self.kernel.lowered(radius)
-            found = [self.kernel.near(u, range(u + 1, n), r, rows) for u, r in enumerate(radius)]
-        self._closer[key] = found
-        return found
 
 
 class ThresholdKernel:
@@ -226,41 +202,11 @@ def _dist(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return max(map(abs, map(sub, a, b)))
 
 
-def _confirms(ps: PointSet, claim: list[int]) -> bool:
-    """Whether claim[u] is the nearest-neighbor distance of every point u.
+def compute_radii(ps: PointSet) -> list[int]:
+    """Exact nearest-neighbor sup-norm distance per point, in grid units, from the exact table.
 
-    For u < v let c = max(claim_u, claim_v).  rho(u,v) > c leaves both
-    claims standing; otherwise rho must equal c, which witnesses every
-    endpoint that claims c.  Claims are at least 1, so c < claim_u + claim_v
-    and only the pairs of ``ps.closer(claim)`` need a look; a confirmed
-    claim also rules out coincident points.
+    Coincident points raise.
     """
-    if min(claim) < 1:
-        return False
-    near, by_claim = ps.kernel.near, ps.kernel.lowered(claim)
-    seen = [False] * len(claim)
-    for u, vs in enumerate(ps.closer(claim)):
-        cu = claim[u]
-        low = [v for v in vs if claim[v] <= cu]  # c = claim_u
-        high = [v for v in vs if claim[v] > cu]  # c = claim_v
-        at_u, at_v = near(u, low, cu + 1), near(u, high, 1, by_claim)
-        if near(u, at_u, cu) or near(u, at_v, 0, by_claim):
-            return False  # rho below the larger claim
-        seen[u] = seen[u] or bool(at_u)
-        for v in at_v + [v for v in at_u if claim[v] == cu]:
-            seen[v] = True
-    return all(seen)
-
-
-def compute_radii(ps: PointSet, claim: list[int] | None = None) -> list[int]:
-    """Exact nearest-neighbor sup-norm distance per point, in grid units.
-
-    ``claim`` holds expected grid radii.  When the kernel confirms them they
-    are the answer and no distance is computed; otherwise the radii come from
-    the exact table, and coincident points raise.
-    """
-    if claim is not None and not ps.small and _confirms(ps, claim):
-        return list(claim)
     table = ps.distances
     radius = [min(row[:u] + row[u + 1:]) for u, row in enumerate(table)]
     if 0 in radius:
@@ -272,12 +218,21 @@ def compute_radii(ps: PointSet, claim: list[int] | None = None) -> list[int]:
 def compute_sig(ps: PointSet, radius: list[int] | None = None) -> Graph:
     """Edge uv iff rho(u,v) < r_u + r_v, decided in exact integer arithmetic.
 
-    ``radius`` holds the point set's grid radii as ``compute_radii`` returns
-    them; they are taken as given.  Without them ``compute_radii`` finds them.
+    ``radius`` holds grid radii, taken as given; without them ``compute_radii``
+    finds them in the exact table.  One sweep: of that table when it is built
+    for the radii, the point set is small or a radius lies below 0, and of the
+    kernel, r_v folded into row v, otherwise.
     """
-    radius = compute_radii(ps) if radius is None else radius
-    edges = [(u, v) for u, vs in enumerate(ps.closer(radius)) for v in vs]
-    return Graph(len(radius), frozenset(edges))
+    n = len(ps.grid)
+    if radius is None or ps.small or min(radius) < 0:
+        radius = compute_radii(ps) if radius is None else radius
+        table = ps.distances
+        edges = [(u, v) for u, r in enumerate(radius) for v in range(u + 1, n)
+                 if table[u][v] < r + radius[v]]
+    else:
+        near, rows = ps.kernel.near, ps.kernel.lowered(radius)
+        edges = [(u, v) for u, r in enumerate(radius) for v in near(u, range(u + 1, n), r, rows)]
+    return Graph(n, frozenset(edges))
 
 
 def oracle_embed_2ia(g: Graph) -> PointSet:

@@ -31,11 +31,12 @@ coordinate matrix, the graph, and the pipeline trace (picks, factor, schedule).
 Radii join the coordinates on one integer grid (a radius off the point set's
 grid, from outside input, puts a copy of it on a finer one, made once); only
 the report holds Fractions.  Every check is a threshold question, so none
-needs rho itself.  When recomputed, the scheduled radii are a claim that
-``compute_radii`` confirms with ``sig.ThresholdKernel``, and the SIG is one
-kernel sweep at r(u) + r(v).  The table of exact distances is built only when
-a radius lies below 0 or the point set is small, and on the recomputing path
-when a claim fails or lies below 1.  A block's distance never exceeds rho, so
+needs rho itself.  When recomputed, the SIG is one ``sig.ThresholdKernel``
+sweep at the scheduled radii r(u) + r(v), and they are the radii iff every u
+has a neighbor in it at distance r(u) and none closer (``_recompute``).  The
+table of exact distances is built only when a radius lies below 0 or the
+point set is small, and on the recomputing path when that rule fails or a
+radius lies below 1.  A block's distance never exceeds rho, so
 rho(u,nu) <= r(u), or rho(u,v) < r(u) + r(v) on an edge, clears that pair of
 (1) or (5) in every block; one kernel test per pseudo-neighbor and per edge
 finds the other pairs, which are re-evaluated, block by block, as a full
@@ -240,6 +241,24 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
     return fails
 
 
+def _recompute(points: PointSet, rv: list[int]) -> tuple[list[int], Graph]:
+    """The radii of ``points`` and their SIG, trying the grid radii ``rv`` first.
+
+    Take rv >= 1 and w a nearest neighbor of u.  If some v joined to u in the
+    SIG at rv has rho(u,v) <= rv[u], then rho(u,w) <= rv[u] < rv[u] + rv[w],
+    so w is joined to u too, and if none lies below rv[u], rho(u,w) = rv[u].
+    So rv are the radii iff each u passes both tests; exact radii >= 1 do, and
+    a coincident pair does not.  Otherwise the radii come from the exact table.
+    """
+    if not points.small and min(rv) >= 1:
+        realized, near = compute_sig(points, rv), points.kernel.near
+        if all((within := near(u, a, r + 1)) and not near(u, within, r)
+               for u, (a, r) in enumerate(zip(realized.adj, rv))):
+            return list(rv), realized
+    radii = compute_radii(points)
+    return radii, compute_sig(points, radii)
+
+
 def verify(g: Graph, emb: Embedding) -> VerificationReport:
     if emb.graph.n != g.n:
         raise ValueError(f"embedding is for n={emb.graph.n}, graph has n={g.n}")
@@ -251,8 +270,7 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
     if (failures or min(grid.rv) < 1 or grid.dims[-1].stop != emb.d
             or not all(emb.pseudo.n1[u] - {u} for u in range(g.n))):
         try:
-            radii = compute_radii(grid.points, grid.rv)
-            realized = compute_sig(grid.points, radii)
+            radii, realized = _recompute(grid.points, grid.rv)
         except ValueError as exc:
             diagnostics["degenerate"] = str(exc)
             return VerificationReport(False, False, False, [], diagnostics)

@@ -532,6 +532,17 @@ def _factor_field(key, value):
     return mutate
 
 
+def _self_leaves(data):
+    # The matched pair (c, w) listed as the one-leaf stars {c: [c]} and {w: [w]};
+    # read on K2, whose factor is one matched pair.
+    factor = data["trace"]["factor"]
+    c, w = factor["matching"].pop()
+    factor["stars"].update({str(c): [c], str(w): [w]})
+
+
+_self_leaves.graph = K2
+
+
 @pytest.mark.parametrize("mutate", [_short("rv"), _short("m"), _set_dim, _wrong_d,
                                     _ragged, _unknown_pick, _missing_row, _empty_dims,
                                     _empty_pick, _block_class, _shifted_dims,
@@ -553,7 +564,7 @@ def _factor_field(key, value):
                                     _roles({"x": 4}), _roles({"x": -1}), _roles([1]),
                                     _extra_column, _m_entries(3), _renumbered_k,
                                     _top("extra", None), _top("delta", "4/2"),
-                                    _top("trace.m", None)],
+                                    _top("trace.m", None), _self_leaves],
                          ids=["short-rv", "short-m", "dims-range", "wrong-d", "ragged",
                               "unknown-pick", "missing-row", "empty-dims", "empty-pick",
                               "block-class", "shifted-dims", "stars-list", "stars-int",
@@ -563,11 +574,11 @@ def _factor_field(key, value):
                               "float-coord", "bool-coord", "wrong-n", "float-role",
                               "bool-role", "role-range", "negative-role", "roles-list",
                               "extra-column", "tampered-m", "renumbered-k", "extra-key",
-                              "unreduced-delta", "dotted-key"])
+                              "unreduced-delta", "dotted-key", "self-leaves"])
 def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
-    graph = tmp_path / "k13.txt"
-    graph.write_text(K13)
-    out = tmp_path / "k13.json"
+    graph = tmp_path / "g.txt"
+    graph.write_text(getattr(mutate, "graph", K13))
+    out = tmp_path / "g.json"
     assert run(capsys, "embed", graph, "-o", out)[0] == 0
     data = json.loads(out.read_text())
     mutate(data)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from sigdim import (compute_radii, compute_sig, generate_exhaustive,
                     oracle_embed_2ia, parse_graph)
 import sigdim.sig
 from sigdim.sig import PointSet, ThresholdKernel, _dist, pack_fields
+from sigdim.verify import _recompute
 
 
 def points(rows):
@@ -164,12 +166,56 @@ def test_spread_sets_top_bits(width, bits):
 def test_radius_claims_confirmed_or_replaced(monkeypatch):
     monkeypatch.setattr(sigdim.sig, "SMALL_TABLE", 0)  # the kernel, even for four points
     ps = points([[0, 0], [3, 1], [10, -2], [4, 9]])
-    exact = compute_radii(ps)
-    assert exact == [3, 3, 7, 8]
-    assert compute_radii(ps, exact) == exact
+    exact = [3, 3, 7, 8]
+    assert _recompute(ps, exact) == (exact, compute_sig(ps, exact))
+    assert "distances" not in vars(ps)  # a confirmed claim computes no distance
+    assert compute_radii(ps) == exact
     for wrong in ([3, 3, 7, 7], [3, 3, 7, 9], [0, 3, 7, 8]):
-        assert compute_radii(ps, wrong) == exact
+        assert _recompute(ps, wrong) == (exact, compute_sig(ps))
     with pytest.raises(ValueError, match="duplicate points 0 and 2"):
-        compute_radii(points([[1, 2], [0, 5], [1, 2]]), [1, 1, 1])
+        _recompute(points([[1, 2], [0, 5], [1, 2]]), [1, 1, 1])
     # A radius vector with a negative entry is swept over the exact table.
-    assert points([[0, 0], [3, 1], [10, -2], [4, 9]]).closer([-3, 3, 7, 8]) == [[], [2, 3], [3], []]
+    assert compute_sig(ps, [-3, 3, 7, 8]).edges == {(1, 2), (1, 3), (2, 3)}
+
+
+@st.composite
+def radius_claims(draw):
+    """Rows and claimed radii: exact, one off by 1, a 0, 10**30, or a row duplicated."""
+    rows = draw(integer_rows())
+    try:
+        claim = compute_radii(points(rows))
+    except ValueError:  # the rows drawn already coincide
+        claim = [1] * len(rows)
+    u = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(["exact", "off", "zero", "huge", "duplicate"]))
+    if kind == "off":
+        claim[u] += draw(st.sampled_from([-1, 1]))
+    elif kind == "zero":
+        claim[u] = 0
+    elif kind == "huge":
+        claim[u] = 10**30
+    elif kind == "duplicate":
+        rows.insert(u, rows[u])
+        claim.insert(u, claim[u])
+    return rows, claim
+
+
+@given(radius_claims())
+@example(([(0, 0), (3, 1), (10, -2), (4, 9)], [3, 3, 7, 7]))  # no neighbour within the claim
+@example(([(0, 0), (3, 1), (10, -2), (4, 9)], [3, 3, 7, 9]))  # a neighbour below it
+@example(([(1, 2), (0, 5), (1, 2)], [1, 1, 1]))
+@settings(max_examples=200, deadline=None)
+def test_recompute_equals_the_exact_table(case):
+    # Whatever the claim, the kernel path gives the table's radii and SIG, or its error.
+    rows, claim = case
+    try:
+        expected = compute_radii(points(rows)), compute_sig(points(rows))
+    except ValueError as exc:
+        expected = exc
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sigdim.sig, "SMALL_TABLE", 0)
+        if isinstance(expected, ValueError):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected))}$"):
+                _recompute(points(rows), claim)
+        else:
+            assert _recompute(points(rows), claim) == expected

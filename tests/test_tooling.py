@@ -11,7 +11,7 @@ from pathlib import Path
 
 import sigdim
 import sigdim.cli
-from sigdim import embed, parse_graph
+from sigdim import embed, generate_random, parse_graph
 
 
 def test_no_assert_in_package():
@@ -41,13 +41,19 @@ def test_package_imports_only_stdlib():
     assert found == []
 
 
-def test_perfbench_patch_targets_exist(tmp_path):
-    # The benchmark's tracer patches sigdim names at run time; a renamed or
-    # removed name must fail here, not in a traced benchmark run.
+def load_tracing():
+    """The benchmark's tracer module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_patch_targets_exist(tmp_path):
+    # The benchmark's tracer patches sigdim names at run time; a renamed or
+    # removed name must fail here, not in a traced benchmark run.
+    tracing = load_tracing()
     graph, out = tmp_path / "k13.txt", tmp_path / "k13.json"
     graph.write_text("4 3\n0 1\n0 2\n0 3\n")
     tracer = tracing.Tracer()
@@ -62,6 +68,25 @@ def test_perfbench_patch_targets_exist(tmp_path):
     # The recorded calls feed the per-layer counts, which read the embedding.
     sizes = tracing._observed_sizes(tracer.observed)
     assert sizes["sum"]["verify.ineq_evals.f2"] > 0
+
+
+def test_traced_failing_verify_records_the_sig_sweep(tmp_path):
+    # A failing verify sweeps the SIG through the names the tracer patches in
+    # sigdim.verify; called by any other name, the traced sig metrics read 0.
+    graph, out = tmp_path / "g.txt", tmp_path / "g.json"
+    g = generate_random(40, 0.5, 1)
+    graph.write_text(g.serialize())
+    data = embed(g).to_json()
+    data["trace"]["rv"][17] += 2
+    out.write_text(json.dumps(data))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = sigdim.cli.main(["verify", str(graph), str(out)])
+    finally:
+        tracer.uninstall()
+    assert code == 2
+    assert "sig.compute_sig" in [span[0] for span in tracer.spans]
 
 
 def test_cli_import_defers_process_pools():

@@ -13,6 +13,7 @@ from sigdim import (PointSet, build_pseudo, check_inequalities, embed, generate_
                     oracle_embed_2ia, parse_graph, verify)
 from sigdim.cli import embedding_from_json
 from sigdim.embedding import Embedding, block_dims
+from sigdim.errors import PipelineError
 from sigdim.matching import Matching
 from sigdim.picking import PickClass, PickedSet, PickSequence
 from sigdim.pseudo import radius_schedule
@@ -359,19 +360,38 @@ class Recomputed(Exception):
     pass
 
 
+def recompute(*args, **kwargs):
+    raise Recomputed
+
+
+def test_recomputing_verify_sweeps_once(monkeypatch):
+    # An all-zero column in no block sends a correct file down the recomputing
+    # path.  Its scheduled radii pass the rule there, so the SIG is swept once,
+    # at them, and no radius or exact distance is computed.
+    g = generate_random(60, 0.5, 11)
+    emb = embed(g)
+    padded = replace(emb, points=PointSet.from_rows([row + (0,) for row in emb.points.points]))
+    assert block_dims(emb.picks)[-1].stop == padded.d - 1 and not padded.points.small
+    module = importlib.import_module("sigdim.verify")
+    sweeps, compute_sig = [], module.compute_sig
+    monkeypatch.setattr(module, "compute_sig", lambda *args: sweeps.append(args) or compute_sig(*args))
+    monkeypatch.setattr(module, "compute_radii", recompute)
+    calls = count_exact_distances(monkeypatch)
+    assert verify(g, padded).verdict == "pass"
+    assert len(sweeps) == 1 and calls == []
+
+
 def test_passing_verify_skips_the_recomputation(monkeypatch):
     # A clean suite certifies the SIG and the radii: no sweep, no recomputation,
-    # on a kernel-sized point set and on a small one.
+    # on a kernel-sized point set and on a small one.  ``compute_sig`` holds
+    # the only sweep; it is stubbed where ``verify`` calls it and where it lives.
     big, small = generate_random(60, 0.5, 11), parse_graph(K13)
     embs = {g: embed(g) for g in (big, small)}
     assert not embs[big].points.small and embs[small].points.small
-
-    def recompute(*args, **kwargs):
-        raise Recomputed
-
     module = importlib.import_module("sigdim.verify")  # the package's ``verify`` is the function
-    for target, name in ((module, "compute_radii"), (module, "compute_sig"), (PointSet, "closer")):
-        monkeypatch.setattr(target, name, recompute)
+    for target in (module, sigdim.sig):
+        for name in ("compute_radii", "compute_sig"):
+            monkeypatch.setattr(target, name, recompute)
     for g, emb in embs.items():
         assert verify(g, emb).verdict == "pass"
     with pytest.raises(Recomputed):
@@ -379,11 +399,11 @@ def test_passing_verify_skips_the_recomputation(monkeypatch):
 
 
 def test_self_witness_file_takes_the_recomputing_path():
-    # The loader does not check the factor against the graph, so a file may list
-    # a vertex as the one leaf of its own star: here a matched pair (c, w) becomes
-    # the stars {c: [c]} and {w: [w]}.  Then N(c) = {c} and family (1) has
-    # nothing to check at c, so with r(c) one grid unit low the suite passes
-    # while no point lies at distance r(c) from c.
+    # A library caller may list a vertex as the one leaf of its own star (the
+    # loader rejects such a file): here a matched pair (c, w) becomes the stars
+    # {c: [c]} and {w: [w]}.  Then N(c) = {c} and family (1) has nothing to
+    # check at c, so with r(c) one grid unit low the suite passes while no
+    # point lies at distance r(c) from c.
     g = generate_random(60, 0.5, 11)
     emb = embed(g)
     assert not emb.points.small
@@ -393,13 +413,14 @@ def test_self_witness_file_takes_the_recomputing_path():
     pseudo = build_pseudo(factor, emb.picks)
     rv = {**emb.schedule.rv, c: emb.schedule.rv[c] - Fraction(1, emb.points.scale)}
     schedule = replace(radius_schedule(pseudo, emb.picks, emb.schedule.r), rv=rv)
-    text = json.dumps(Embedding(g, factor, emb.picks, pseudo, schedule, emb.points).to_json())
-    loaded = embedding_from_json(g, json.loads(text))
-    assert loaded.pseudo.n1[c] == {c}
-    report = verify(g, loaded).to_json()
+    forged = Embedding(g, factor, emb.picks, pseudo, schedule, emb.points)
+    with pytest.raises(PipelineError, match=f"star {c} has fewer than 2 leaves"):
+        embedding_from_json(g, json.loads(json.dumps(forged.to_json())))
+    assert forged.pseudo.n1[c] == {c}
+    report = verify(g, forged).to_json()
     assert report["inequality_failures"] == [] and not report["radius_agree"]
     assert [m["vertex"] for m in report["diagnostics"]["radius_mismatches"]] == [c]
-    assert_same_report(g, loaded)
+    assert_same_report(g, forged)
 
 
 def tamper_rv(emb, vertex, value):
