@@ -121,9 +121,9 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     as ``embed`` builds them.  Every field of the file but ``coords`` must then
     be exactly what ``Embedding.to_json`` writes, compared as JSON text, so that
     0.0 or true does not pass for 0 or 1, nor "4/2" for 2.  The sources must
-    also agree with each other: the picks partition the vertices, the factor
-    covers them and is a star-triangle factor of ``g`` (else ``PipelineError``),
-    and the block widths sum to the coordinate width.
+    also agree with each other: the picks partition the vertices, the factor is
+    a star-triangle factor of ``g`` (else ``PipelineError``), and the block
+    widths sum to the coordinate width.
     """
     trace = data["trace"]
     rows = _coord_rows(data["coords"])
@@ -146,10 +146,8 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     ))
     pn = build_pseudo(factor, picks)
     picked = sorted(v for p in picks.picks for v in p.vertices)
-    if (picked != list(range(g.n)) or set(pn.n1) != set(range(g.n))
-            or not all(p.vertices for p in picks.picks)):
-        raise ValueError("trace.picks must partition the vertices into non-empty sets "
-                         "and trace.factor cover them")
+    if picked != list(range(g.n)) or not all(p.vertices for p in picks.picks):
+        raise ValueError("trace.picks must partition the vertices into non-empty sets")
     validate_factor(g, factor)
     _ints([p.step for p in picks.picks], "pick steps")
     if sum(map(len, block_dims(picks))) != points.d:

@@ -27,16 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
-from operator import or_
+from itertools import combinations
 from typing import Any
 
 from .errors import PipelineError
 from .factor import StarTriangleFactor, star_triangle_factor, validate_factor
 from .graphs import Graph
 from .matching import maximum_matching
-from .picking import (PickClass, PickedSet, PickSequence, _mask, pick_vertices,
-                      validate_picks)
+from .picking import PickClass, PickedSet, PickSequence, pick_vertices, validate_picks
 from .pseudo import (PseudoNeighborhood, RadiusSchedule, build_pseudo,
                      default_radius, radius_schedule, validate_schedule)
 from .rationals import ceil_log2, rat_to_json
@@ -112,8 +110,8 @@ def block_dims(picks: PickSequence) -> list[range]:
 
 
 class _Ctx:
-    """Shared lookups for the block builders: radii in delta units, and bitmasks
-    of the star leaves and, for each block k, of the vertices picked before k."""
+    """Shared lookups for the block builders: radii in delta units.  Star leaves
+    are ``f.leaves``, and the vertices picked before block k ``picks.earlier[k]``."""
 
     def __init__(self, g: Graph, f: StarTriangleFactor, picks: PickSequence,
                  pn: PseudoNeighborhood, sched: RadiusSchedule):
@@ -123,9 +121,6 @@ class _Ctx:
         self.pn = pn
         self.r = 6 * g.n
         self.rv = [self.r - 2 * sched.m[v] for v in range(g.n)]
-        self.leaves = _mask(f.leaf_center)
-        self.earlier = list(accumulate((_mask(p.vertices) for p in picks.picks), or_,
-                                       initial=0))
 
     def unreachable(self, k: int, table: str, vertex: int, **extra: Any) -> PipelineError:
         return PipelineError(
@@ -302,7 +297,7 @@ def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
     star = ctx.pn.n1[w]  # the leaf set
     v0_side = ctx.pn.related(v0) - {v0}
     reach = ctx.pn.reach(pick.vertices)
-    early_or_v0 = ctx.earlier[k] | ctx.g.masks[v0]
+    early_or_v0 = ctx.picks.earlier[k] | ctx.g.masks[v0]
 
     out: dict[int, Vec] = {}
     for v in range(ctx.g.n):
@@ -342,7 +337,7 @@ def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
     v2_side = ctx.pn.related(v2) - {v2}
     reach = ctx.pn.reach(pick.vertices)
     subcase_b = v2 in ctx.pn.related(v1)
-    early, adj = ctx.earlier[k], ctx.g.masks
+    early, adj = ctx.picks.earlier[k], ctx.g.masks
     early_or_v1 = early | adj[v1]
 
     out: dict[int, Vec] = {}
@@ -420,9 +415,9 @@ _ONE_EDGE_OUTSIDE = (
 
 
 def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
-    rv, adj, leaves = ctx.rv, ctx.g.masks, ctx.leaves
+    rv, adj, leaves = ctx.rv, ctx.g.masks, ctx.f.leaves
     k = pick.k
-    early = ctx.earlier[k]
+    early = ctx.picks.earlier[k]
     base = -ctx.r + 2 * (k + 1)
     mhalf = -ctx.r // 2 + (k + 1)
     p, q, s = (pick.roles[r_] for r_ in ("p", "q", "s"))
@@ -501,7 +496,7 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
 
 def _super_roles(ctx: _Ctx, pick: PickedSet) -> tuple[int, int, int]:
     if pick.step in (7, 9, 10, 11):
-        leaves = sorted(v for v in pick.vertices if ctx.leaves >> v & 1)
+        leaves = sorted(v for v in pick.vertices if ctx.f.leaves >> v & 1)
         if leaves:
             b = leaves[0]
             a, c = sorted(set(pick.vertices) - {b})
@@ -523,7 +518,7 @@ _SUPER_OUTSIDE = (
 def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
     rv, adj = ctx.rv, ctx.g.masks
     k = pick.k
-    early = ctx.earlier[k]
+    early = ctx.picks.earlier[k]
     base = -ctx.r + 2 * (k + 1)
     mhalf = -ctx.r // 2 + (k + 1)
     a, b, c = _super_roles(ctx, pick)
@@ -573,7 +568,7 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
             out[v] = near(x, v, guard_central=True)
     for x in (a, b, c):
         for v in sorted(ctx.pn.n2[x] - {x} - set(out)):
-            if early >> v & 1 and ctx.leaves >> v & 1:
+            if early >> v & 1 and ctx.f.leaves >> v & 1:
                 out[v] = second_leaf(x, v)
             else:
                 out[v] = near(x, v, guard_central=False)

@@ -33,6 +33,16 @@ class StarTriangleFactor:
     def leaf_center(self) -> dict[int, int]:
         return {x: u for u, leaves in self.stars.items() for x in leaves}
 
+    @cached_property
+    def leaves(self) -> int:
+        return sum(1 << x for x in self.leaf_center)
+
+    @cached_property
+    def mates(self) -> dict[int, int]:
+        """Each leaf's star, as the mask of that star's leaves (the leaf's own bit too)."""
+        star = {u: sum(1 << x for x in leaves) for u, leaves in self.stars.items()}
+        return {x: star[u] for x, u in self.leaf_center.items()}
+
     def to_json(self) -> dict[str, Any]:
         return {
             "stars": {str(u): sorted(s) for u, s in sorted(self.stars.items())},
@@ -141,9 +151,8 @@ def validate_factor(g: Graph, f: StarTriangleFactor) -> None:
     # All leaves together are independent; this covers both the induced-star
     # requirement and non-adjacency of leaves from different stars.  The first
     # pair found is the smallest leaf a and its lowest adjacent leaf b > a.
-    leaves = sum(1 << x for x in f.leaf_center)
     for a in sorted(f.leaf_center):
-        later = g.masks[a] & leaves >> (a + 1) << (a + 1)
+        later = g.masks[a] & f.leaves >> (a + 1) << (a + 1)
         if later:
             b = (later & -later).bit_length() - 1
             raise PipelineError(

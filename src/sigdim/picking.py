@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from functools import cached_property
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Any, Iterable
 
 from .errors import PipelineError
@@ -80,9 +82,18 @@ class PickedSet:
 class PickSequence:
     picks: tuple[PickedSet, ...]
 
+    def __post_init__(self) -> None:
+        if any(p.k != i for i, p in enumerate(self.picks)):
+            raise ValueError("picks must be numbered by position: picks[i].k == i")
+
     @property
     def count(self) -> int:
         return len(self.picks)
+
+    @cached_property
+    def earlier(self) -> list[int]:
+        """earlier[k]: mask of the vertices picked before block k, for k = 0..count."""
+        return list(accumulate((_mask(p.vertices) for p in self.picks), or_, initial=0))
 
     def index_of(self) -> dict[int, int]:
         return {v: p.k for p in self.picks for v in p.vertices}
@@ -98,9 +109,6 @@ class _Run:
         self.live: dict[int, set[int]] = {u: set(s) for u, s in f.stars.items()}
         self.picked: set[int] = set()
         self.picks: list[PickedSet] = []
-        # group[v]: the leaves of v's star when v is a leaf, else 0.
-        star = {u: _mask(leaves) for u, leaves in f.stars.items()}
-        self.group = [star.get(f.leaf_center.get(v), 0) for v in range(g.n)]
 
     # -- shared helpers ----------------------------------------------------
 
@@ -177,19 +185,19 @@ class _Run:
     def triple_scan(self, wanted_edges: int) -> tuple[int, int, int] | None:
         """Smallest unpicked a < b < c with `wanted_edges` (0 or 1) edges, no two
         in one leaf group."""
-        nbr, group = self.g.masks, self.group
+        nbr, mates = self.g.masks, self.f.mates
         rest = self.unpicked()
         free = _mask(rest)
         for a in rest:
             na = nbr[a]
-            bs = free & ~group[a] & -(2 << a)  # b, then c: unpicked, above a
+            bs = free & ~mates.get(a, 0) & -(2 << a)  # b, then c: unpicked, above a
             if not wanted_edges:
                 bs &= ~na
             while bs:
                 b = _lowest(bs)
                 bs &= bs - 1
                 cs = na ^ nbr[b] if wanted_edges and not na >> b & 1 else ~(na | nbr[b])
-                if cs := cs & bs & ~group[b]:
+                if cs := cs & bs & ~mates.get(b, 0):
                     return a, b, _lowest(cs)
         return None
 
@@ -391,9 +399,8 @@ def _check_class_shape(g: Graph, f: StarTriangleFactor, p: PickedSet) -> None:
 def _check_later_adjacency(g: Graph, f: StarTriangleFactor, seq: PickSequence) -> None:
     """Later-picked vertices are adjacent to residual sets, non-adjacent pairs,
     and (outside the star) to independent leaf-pair triples."""
-    later = 0
     for p in reversed(seq.picks):
-        must = 0
+        later, must = seq.earlier[-1] & ~seq.earlier[p.k + 1], 0
         if p.cls is PickClass.RESIDUAL or p.cls is PickClass.NONADJACENT_PAIR:
             must = later
         elif p.cls is PickClass.TWO_LEAF_TRIPLE:
@@ -403,4 +410,3 @@ def _check_later_adjacency(g: Graph, f: StarTriangleFactor, seq: PickSequence) -
                 v = _lowest(missed)
                 raise PipelineError("picker", f"P_{p.k} ({p.cls.value}): later vertex {v} "
                                     f"not adjacent to {u}", k=p.k, pair=(u, v))
-        later |= _mask(p.vertices)

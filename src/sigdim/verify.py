@@ -40,21 +40,23 @@ radius lies below 1.  A block's distance never exceeds rho, so
 rho(u,nu) <= r(u), or rho(u,v) < r(u) + r(v) on an edge, clears that pair of
 (1) or (5) in every block; one kernel test per pseudo-neighbor and per edge
 finds the other pairs, which are re-evaluated, block by block, as a full
-per-block scan orders them.  For (2)-(4), ``_Screen`` runs the kernel over the
-columns, so one subtraction holds u against every v, and decides each family
-with vertex masks built once per u, each holding exactly the v its family
-covers: (2) the v picked at or before k; (3) u's star mates picked at or
-before k, and (4) the v outside u's star picked at or after k, both among u's
-non-neighbours.  A star mate picked after k is in no family's mask.  Only a
-u it flags gets the exact per-pair pass, so the failure list is that of a
-full scan.
+per-block scan orders them.  ``_Grid`` builds the (2)-(4) domains once, as
+vertex masks for each u picked at k, from the pick order
+``PickSequence.earlier`` and the star masks ``StarTriangleFactor.mates``:
+(2) the v picked at or before k; (3) u's star mates picked at or before k,
+and (4) the v outside u's star picked at or after k, both among u's
+non-neighbours.  A star mate picked after k is in no domain.  ``_Screen``
+runs the kernel over the columns, so one subtraction holds u against every v,
+and reads the same domains spread over its fields.  Only a u it flags gets
+the exact per-pair pass, which tests the same masks, so the failure list is
+that of a full scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import lcm
 from operator import sub
 from typing import Any
@@ -119,9 +121,15 @@ class _Grid:
         self.points, self.cols = points, list(zip(*points.grid))
         self.dims = block_dims(emb.picks)
         self.rv = rv = to_grid((scheduled[v] for v in range(n)), scale)
-        self.index = emb.picks.index_of()
-        self.center = [emb.factor.leaf_center.get(v) for v in range(n)]
-        self.screen = None if points.small else _Screen(self, g, emb)
+        # domains[u] = (f2, f3, f4): the v that (2), (3) and (4) read for u, as masks.
+        earlier, mates, top = emb.picks.earlier, emb.factor.mates, (1 << n) - 1
+        self.domains = [(0, 0, 0)] * n
+        for k, p in enumerate(emb.picks.picks):
+            for u in p.vertices:
+                star, apart = mates.get(u, 0), top & ~(g.masks[u] | 1 << u)
+                self.domains[u] = (earlier[k + 1] & ~(1 << u), apart & earlier[k + 1] & star,
+                                   apart & ~(earlier[k] | star))
+        self.screen = None if points.small else _Screen(self)
         n1 = emb.pseudo.n1
         # A block's distance never exceeds rho, so only these pairs can fail
         # (1) or (5) in some block.
@@ -151,27 +159,13 @@ class _Screen:
     screen picks the u that the exact per-pair pass must visit, nothing more.
     """
 
-    def __init__(self, grid: _Grid, g: Graph, emb: Embedding):
-        n, self.rv, self.dims = g.n, grid.rv, grid.dims
+    def __init__(self, grid: _Grid):
+        self.rv, self.dims = grid.rv, grid.dims
         self.kernel = kernel = ThresholdKernel(grid.cols, grid.points.bound)
         self.by_rv = kernel.pack([kernel.clamp(r) for r in grid.rv] * 2)  # r(v) in both fields of v
-        # Top bits of the vertices picked at k, and at k or before.
-        picked = [kernel.spread(sum(1 << v for v in p.vertices)) for p in emb.picks.picks]
-        early, top = list(accumulate(picked)), kernel.spread((1 << n) - 1)
-        leaves: dict[int, int] = {}  # each centre's leaves as a vertex mask, read as (3) reads them
-        for v, c in enumerate(grid.center):
-            if c is not None:
-                leaves[c] = leaves.get(c, 0) | 1 << v
-        mates = {c: kernel.spread(mask) for c, mask in leaves.items()}
-        # For each u, picked at k: the v that (2) reads, and the v that (3) or (4) read.
-        self.before, self.apart = [0] * n, [0] * n
-        for k, p in enumerate(emb.picks.picks):
-            late = top - early[k] + picked[k]
-            for u in p.vertices:
-                bit, star = kernel.half << (kernel.width * u), mates.get(grid.center[u], 0)
-                self.before[u] = early[k] - bit
-                self.apart[u] = (top - kernel.spread(g.masks[u]) - bit) & (
-                    early[k] & star | late & ~star)
+        # For each u: the v that (2) reads, and the v that (3) or (4) read, as top bits.
+        self.before = [kernel.spread(f2) for f2, _, _ in grid.domains]
+        self.apart = [kernel.spread(f3 | f4) for _, f3, f4 in grid.domains]
 
     def within(self, rows: list[int], values: list[int], t: int, fold: bool) -> int:
         """Top bit of field v set iff |values[j] - c_j[v]| < t (+ r(v) if fold) for all j."""
@@ -201,7 +195,7 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
     if grid is None:
         grid = _Grid(g, emb)
     cols = [grid.cols[j] for j in grid.dims[k]]
-    rv, index, center = grid.rv, grid.index, grid.center
+    rv = grid.rv
     fails: list[InequalityFailure] = []
 
     def record(ineq: int, u: int, v: int, lhs: int, rhs: int) -> None:
@@ -217,22 +211,16 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
             record(1, u, nu, lhs, rv[u])
 
     for u in emb.picks.picks[k].vertices:
-        ru, cu, mask = rv[u], center[u], g.masks[u]
         if grid.screen and not grid.screen.may_fail(k, u, cols):
             continue
+        ru, (f2, f3, f4) = rv[u], grid.domains[u]
+        f34 = f3 | f4
         diffs = [map(abs, map(sub, c, repeat(c[u]))) for c in cols]
         for v, lhs in enumerate(diffs[0] if len(diffs) == 1 else map(max, *diffs)):
-            if v == u:
-                continue
-            both, apart = ru + rv[v], not mask >> v & 1
-            share = cu is not None and cu == center[v]
-            if index[v] <= k:
-                if lhs < max(ru, rv[v]):
-                    record(2, u, v, lhs, max(ru, rv[v]))
-                if apart and share and lhs < both:
-                    record(3, u, v, lhs, both)
-            if index[v] >= k and apart and not share and lhs < both:
-                record(4, u, v, lhs, both)
+            if f2 >> v & 1 and lhs < max(ru, rv[v]):
+                record(2, u, v, lhs, max(ru, rv[v]))
+            if f34 >> v & 1 and lhs < ru + rv[v]:
+                record(3 if f3 >> v & 1 else 4, u, v, lhs, ru + rv[v])
 
     for u, v in grid.long_edges:
         lhs = block_dist(u, v)

@@ -10,6 +10,7 @@ import pytest
 
 from sigdim import (Graph, Matching, PickedSet, PickSequence, PipelineError, dimension_bound,
                     embed, embedding, generate_random, parse_graph, verify)
+from sigdim.cli import embedding_from_json
 from sigdim.embedding import block_dims, check_accounting
 from sigdim.factor import StarTriangleFactor
 from sigdim.picking import PickClass
@@ -270,6 +271,24 @@ def test_case_tables_read_masks():
         emb = embed(g)
     assert {PickClass.ONE_EDGE_TRIPLE, PickClass.SUPER_TRIPLE} <= {p.cls for p in emb.picks.picks}
     assert calls == 0
+
+
+def test_pick_and_star_masks_match_their_definitions(corpus5):
+    # PickSequence.earlier and StarTriangleFactor.leaves/mates are the only
+    # masks of pick order and star membership; they must agree with index_of()
+    # and leaf_center, on what embed builds and on what the loader rebuilds.
+    for g in corpus5 + [planted_stars(60, seed) for seed in range(10)]:
+        built = embed(g)
+        loaded = embedding_from_json(g, json.loads(json.dumps(built.to_json())))
+        for emb in (built, loaded):
+            index, center = emb.picks.index_of(), emb.factor.leaf_center
+            earlier = emb.picks.earlier
+            assert earlier[0] == 0 and earlier[-1] == (1 << g.n) - 1
+            assert earlier == [sum(1 << v for v in range(g.n) if index[v] < k)
+                               for k in range(emb.picks.count + 1)]
+            assert emb.factor.leaves == sum(1 << v for v in center)
+            assert emb.factor.mates == {v: sum(1 << x for x in center if center[x] == c)
+                                        for v, c in center.items()}
 
 
 def _forged_ctx(n, edges, stars, matching, picks):

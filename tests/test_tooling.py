@@ -41,6 +41,18 @@ def test_package_imports_only_stdlib():
     assert found == []
 
 
+def test_no_private_imports_across_modules():
+    # A module's underscore names are its own: what another module needs gets a public owner.
+    found = [
+        f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+        for path in sorted(Path(sigdim.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def load_tracing():
     """The benchmark's tracer module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -300,6 +300,15 @@ def test_verify_matches_reference_on_star_mates():
             "rhs": _rat(2 * rv[last])} in verify(g, moved).to_json()["inequality_failures"]
 
 
+def test_misnumbered_picks_rejected():
+    # A pick's k is its position.  With generate_random(40, 1/2, 3)'s labels
+    # reversed, the block screen (by position) and the exact pass (by k) would
+    # read different (2)-(4) domains, and the verdict would turn on SMALL_TABLE.
+    picks = embed(generate_random(40, 0.5, 3)).picks.picks
+    with pytest.raises(ValueError, match="numbered by position"):
+        PickSequence(tuple(replace(p, k=len(picks) - 1 - p.k) for p in picks))
+
+
 def test_screen_flags_no_vertex_on_planted_stars():
     # Neither (3) nor (4) covers a star mate picked after u's block, so the
     # screen leaves those pairs out; testing them flagged 30 of these 60
