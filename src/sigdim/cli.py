@@ -19,11 +19,11 @@ import json
 import os
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, NoReturn
 
 from .embedding import Embedding, block_dims, dimension_bound, embed
 from .errors import GraphInputError, PipelineError
@@ -275,32 +275,105 @@ def _fuzz_instance(job: tuple[int, int, Fraction, Fraction | None]
     }
 
 
+def _fuzz_share(share: list[tuple], fd: int) -> NoReturn:
+    """Run ``share`` in a forked worker, pickle its outcome to ``fd``, and exit.
+
+    The outcome is ``(results, error)``: the results of the jobs finished, in
+    order, and the exception raised by the job after them, or None.  The
+    worker leaves through ``os._exit`` whatever happens, so it never returns
+    into the caller's stack, runs no atexit handler and flushes no inherited
+    buffer.  It exits 0 only once the whole outcome is written.
+    """
+    status = 1
+    try:
+        import pickle
+
+        results, error = [], None
+        try:
+            for job in share:
+                results.append(_fuzz_instance(job))
+        except Exception as exc:  # the parent raises it at this job's position
+            error = exc
+        with open(fd, "wb") as out:
+            pickle.dump((results, error), out, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 @contextmanager
 def _fuzz_results(jobs: list[tuple]) -> Iterator[Iterator[tuple]]:
     """The results of ``_fuzz_instance`` over ``jobs``, in job order.
 
-    With two or more jobs and CPUs this process may use, the jobs run in a
-    pool of forked workers, one per CPU but no more than there are jobs.
-    Forking copies the loaded modules, so workers start at once.  Forking
-    beside another thread is unsafe (a pool forks its workers before it starts
-    its own threads), so a process that runs other threads, has one CPU or no
-    fork, or has one job runs the jobs itself.  No worker outlives the
-    ``with`` block, and a worker's exception is raised here.
+    With two or more jobs and CPUs this process may use, it forks w workers,
+    one per CPU but no more than there are jobs, and worker i runs
+    ``jobs[i::w]``: sizes cycle with the seed, so every share gets the same
+    mix.  Forking copies the loaded modules, so workers start at once.  Each
+    worker pickles its results to its own pipe when its share is done.  A
+    worker's exception is raised here at the position of the job that raised
+    it; a worker that dies first raises RuntimeError naming its exit status.
+    No worker outlives the ``with`` block.  Forking beside another thread is
+    unsafe, so a process that runs other threads, has one CPU or no fork, or
+    has one job runs the jobs itself.
     """
     try:
         workers = min(len(os.sched_getaffinity(0)), len(jobs))
     except AttributeError:  # no sched_getaffinity on this platform
         workers = 1
-    if workers > 1 and threading.active_count() == 1:
-        import multiprocessing  # here, so that no other command pays for the import
+    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        yield map(_fuzz_instance, jobs)
+        return
+    import pickle  # here, so that no other command pays for the import
+    import signal
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                yield pool.imap(_fuzz_instance, jobs, chunksize=1)
-                pool.close()
-                pool.join()
-            return
-    yield map(_fuzz_instance, jobs)
+    pids: list[int] = []
+    reads: list[int] = []  # the read end of each worker's pipe
+    unreaped: set[int] = set()
+
+    def received() -> Iterator[tuple]:
+        outcomes: list[Any] = [None] * workers
+        for j in range(len(jobs)):
+            k, i = divmod(j, workers)
+            if outcomes[i] is None:
+                # To EOF before waitpid: an outcome can be larger than the pipe holds.
+                with open(reads[i], "rb", closefd=False) as fh:
+                    data = fh.read()
+                status = os.waitpid(pids[i], 0)[1]
+                unreaped.discard(pids[i])
+                code = os.waitstatus_to_exitcode(status)
+                if code != 0:
+                    raise RuntimeError(f"fuzz worker {pids[i]} exited with status {code} "
+                                       "before sending its results")
+                outcomes[i] = pickle.loads(data)
+            results, error = outcomes[i]
+            if k == len(results):
+                raise error
+            yield results[k]
+
+    try:
+        for i in range(workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _fuzz_share(jobs[i::workers], write)
+            finally:  # in the parent: a later worker holding it open would withhold EOF
+                os.close(write)
+            pids.append(pid)
+            unreaped.add(pid)
+        yield received()
+    finally:
+        for pid in unreaped:
+            # Reaped already if an interrupt came between waitpid and discard.
+            with suppress(ChildProcessError):
+                # WNOHANG reaps a worker that has exited.  One still running is
+                # still this process's child, so its pid cannot have been reused.
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:

@@ -4,7 +4,6 @@ import contextlib
 import functools
 import io
 import json
-import multiprocessing
 import operator
 import os
 import subprocess
@@ -268,28 +267,38 @@ def instance_pids(monkeypatch, log: Path, cpus: int) -> None:
     monkeypatch.setattr(sigdim.cli, "_run_instance", logged)
 
 
+def no_children_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def test_fuzz_output_does_not_depend_on_workers(tmp_path, capsys, monkeypatch):
-    # Seeds 2955..2966 at n = 18, p = 1/10 include the failing, shrunk seed 2960.
-    trees = []
-    for cpus in (1, 2):
-        cwd = tmp_path / f"cpus{cpus}"
-        (cwd / "out").mkdir(parents=True)
-        monkeypatch.chdir(cwd)
-        instance_pids(monkeypatch, cwd / "pids.log", cpus)
-        assert run(capsys, "fuzz", "--n-min", "18", "--n-max", "18", "--p", "1/10",
-                   "--seed", "2955", "--count", "12", "--bundle-dir", "out/b",
-                   "-o", "out/s.json")[0] == 0
-        pids = set(map(int, (cwd / "pids.log").read_text().split()))
-        if cpus == 1:
-            assert pids == {os.getpid()}
-        else:  # workers only, and no more of them than CPUs
-            assert os.getpid() not in pids and len(pids) <= cpus
-        trees.append({str(f.relative_to(cwd)): f.read_bytes()
-                      for f in sorted((cwd / "out").rglob("*.json"))})
-        assert multiprocessing.active_children() == []
-    assert trees[0] == trees[1]
-    summary = json.loads(trees[1]["out/s.json"])
-    assert [f["seed"] for f in summary["failures"]] == [2960]
+    # Seeds from 2955 at n = 18, p = 1/10 include the failing, shrunk seed 2960.
+    # Three CPUs split 12 jobs into shares of 4, and 7 jobs into shares of 3, 2 and 2.
+    for count in (12, 7):
+        trees = []
+        for cpus in (1, 2, 3):
+            cwd = tmp_path / f"count{count}-cpus{cpus}"
+            (cwd / "out").mkdir(parents=True)
+            monkeypatch.chdir(cwd)
+            instance_pids(monkeypatch, cwd / "pids.log", cpus)
+            assert run(capsys, "fuzz", "--n-min", "18", "--n-max", "18", "--p", "1/10",
+                       "--seed", "2955", "--count", count, "--bundle-dir", "out/b",
+                       "-o", "out/s.json")[0] == 0
+            pids = set(map(int, (cwd / "pids.log").read_text().split()))
+            if cpus == 1:
+                assert pids == {os.getpid()}
+            else:  # workers only, and no more of them than CPUs
+                assert os.getpid() not in pids and len(pids) <= cpus
+            trees.append({str(f.relative_to(cwd)): f.read_bytes()
+                          for f in sorted((cwd / "out").rglob("*.json"))})
+            assert no_children_left()
+        assert trees[0] == trees[1] == trees[2]
+        summary = json.loads(trees[1]["out/s.json"])
+        assert [f["seed"] for f in summary["failures"]] == [2960]
 
 
 def test_fuzz_runs_in_process_beside_another_thread(tmp_path, capsys, monkeypatch):
@@ -309,9 +318,9 @@ def test_fuzz_runs_in_process_beside_another_thread(tmp_path, capsys, monkeypatc
 
 
 def test_fuzz_worker_error_reaches_the_caller(tmp_path):
-    # In a fresh interpreter, with a timeout: a pool that loses the error waits forever.
+    # In a fresh interpreter, with a timeout: a lost error would leave the caller waiting.
     script = f"""
-import json, multiprocessing, os
+import json, os
 import sigdim.cli
 from sigdim import PipelineError
 
@@ -324,7 +333,11 @@ try:
     sigdim.cli.main(["fuzz", "--n-min", "6", "--n-max", "9", "--p", "1/2", "--seed", "1",
                      "--count", "4", "-o", {str(tmp_path / "s.json")!r}])
 except PipelineError as exc:
-    print(json.dumps([exc.to_json(), multiprocessing.active_children()]))
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        left = []
+    print(json.dumps([exc.to_json(), left]))
 """
     src = str(Path(sigdim.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -332,6 +345,57 @@ except PipelineError as exc:
     assert json.loads(done.stdout) == [{"stage": "picker",
                                         "message": "[picker] no rule applies",
                                         "details": {"step": 27}}, []]
+
+
+def test_fuzz_worker_death_reaches_the_caller(tmp_path):
+    # In a fresh interpreter, with a timeout: a lost worker must not hang the caller.
+    script = f"""
+import os, sigdim.cli
+
+parent = os.getpid()
+
+def die(g, r):
+    if os.getpid() != parent:
+        os._exit(7)
+
+sigdim.cli._run_instance = die
+os.sched_getaffinity = lambda pid: {{0, 1}}
+try:
+    sigdim.cli.main(["fuzz", "--n-min", "6", "--n-max", "9", "--p", "1/2", "--seed", "1",
+                     "--count", "4", "-o", {str(tmp_path / "s.json")!r}])
+except RuntimeError as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no children")
+"""
+    src = str(Path(sigdim.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    died, children = done.stdout.splitlines()
+    assert "exited with status 7" in died and children == "no children"
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_fuzz_worker_error_raised_at_its_seed(tmp_path, capsys, monkeypatch):
+    # Bundles are written in seed order up to the seed that raised, as if in one process.
+    from sigdim import PipelineError
+
+    def fake(job):
+        seed = job[0]
+        if seed == 13:
+            raise PipelineError("picker", "no rule applies", step=27)
+        return None, {"seed": seed}
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sigdim.cli, "_fuzz_instance", fake)
+    with pytest.raises(PipelineError, match="no rule applies"):
+        main(["fuzz", "--n-min", "6", "--n-max", "9", "--p", "1/2", "--seed", "10",
+              "--count", "6", "--bundle-dir", str(tmp_path), "-o", str(tmp_path / "s.json")])
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        f"counterexample-seed{seed}.json" for seed in (10, 11, 12)]
+    assert no_children_left()
 
 
 def test_errors_survive_pickling():

@@ -102,10 +102,12 @@ def test_traced_failing_verify_records_the_sig_sweep(tmp_path):
 
 
 def test_cli_import_defers_process_pools():
-    # Only `fuzz` uses a process pool; every other command, and setup, skips its import.
+    # Only `fuzz` forks workers and unpickles what they send; every other command,
+    # and setup, skips those imports.  No command needs multiprocessing at all.
     src = str(Path(sigdim.__file__).parents[1])
     script = ("import sys, sigdim.cli; print(sorted(m for m in sys.modules "
-              "if m.partition('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
+              "if m.partition('.')[0] in ('multiprocessing', 'pickle', '_pickle') "
+              "or m.startswith('concurrent.futures')))")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout == "[]\n"
