@@ -243,7 +243,7 @@ def _shrink(g: Graph, r: Fraction | None) -> tuple[Graph, dict[str, Any]]:
         improved = False
         for v in range(g.n):
             cand = g.delete_vertex(v)
-            if cand.n < 2 or not all(cand.adj):
+            if cand.n < 2 or not all(cand.masks):
                 continue
             _, f = _run_instance(cand, r)
             if f is not None:

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Any
 
 from .errors import PipelineError
-from .graphs import Edge, Graph, norm_edge
+from .graphs import Edge, Graph, lowest, mask_of, norm_edge
 from .matching import Matching
 
 
@@ -35,12 +35,12 @@ class StarTriangleFactor:
 
     @cached_property
     def leaves(self) -> int:
-        return sum(1 << x for x in self.leaf_center)
+        return mask_of(self.leaf_center)
 
     @cached_property
     def mates(self) -> dict[int, int]:
         """Each leaf's star, as the mask of that star's leaves (the leaf's own bit too)."""
-        star = {u: sum(1 << x for x in leaves) for u, leaves in self.stars.items()}
+        star = {u: mask_of(leaves) for u, leaves in self.stars.items()}
         return {x: star[u] for x, u in self.leaf_center.items()}
 
     def to_json(self) -> dict[str, Any]:
@@ -67,7 +67,7 @@ def star_triangle_factor(g: Graph, m0: Matching) -> StarTriangleFactor:
 
     unmatched = [v for v in range(g.n) if v not in partner]
     for v in unmatched:
-        u = g.adj[v][0]
+        u = lowest(g.masks[v])
         if u not in partner:
             raise PipelineError(
                 "factor",
@@ -133,13 +133,13 @@ def validate_factor(g: Graph, f: StarTriangleFactor) -> None:
         for x in leaves:
             place(x, f"star({u})")
             if not g.has_edge(u, x):
-                raise PipelineError("factor", f"star edge {u}{x} missing", center=u, leaf=x)
+                raise PipelineError("factor", f"star edge {(u, x)} missing", center=u, leaf=x)
     for tri in f.triangles:
         for v in tri:
             place(v, f"triangle{tri}")
         for a, b in combinations(tri, 2):
             if not g.has_edge(a, b):
-                raise PipelineError("factor", f"triangle {tri} missing edge {a}{b}")
+                raise PipelineError("factor", f"triangle {tri} missing edge {(a, b)}")
     f.residual.validate(g)
     for u, v in f.residual.edges:
         place(u, "matching")
@@ -154,7 +154,7 @@ def validate_factor(g: Graph, f: StarTriangleFactor) -> None:
     for a in sorted(f.leaf_center):
         later = g.masks[a] & f.leaves >> (a + 1) << (a + 1)
         if later:
-            b = (later & -later).bit_length() - 1
+            b = lowest(later)
             raise PipelineError(
                 "factor",
                 f"leaves {a} and {b} are adjacent"

@@ -1,8 +1,9 @@
 """Labeled simple graphs: representation, edge-list text format, generators.
 
-Vertices are dense integers ``0..n-1``.  Edges are stored as sorted pairs.
-Everything downstream breaks ties by smallest vertex index, so the adjacency
-views here are always sorted.
+Vertices are dense integers ``0..n-1``.  Edges are stored as sorted pairs;
+every neighbour read goes through ``Graph.masks``, one bitmask per vertex, and
+the mask helpers here.  Everything downstream breaks ties by smallest vertex
+index, so ``members`` lists a mask's vertices in increasing order.
 """
 
 from __future__ import annotations
@@ -10,16 +11,39 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator
 
 from .errors import GraphInputError
 
 Edge = tuple[int, int]
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def mask_of(vs: Iterable[int]) -> int:
+    """Bitmask of distinct vertices."""
+    return sum(1 << v for v in vs)
+
+
+def lowest(mask: int) -> int:
+    """The smallest vertex of a non-empty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def members(mask: int) -> list[int]:
+    """The vertices of a mask >= 0, in increasing order."""
+    if mask.bit_count() < 16:  # sparse: peel off the lowest bit
+        out = []
+        while mask:
+            out.append(lowest(mask))
+            mask &= mask - 1
+        return out
+    bits = bin(mask)[:1:-1].encode().translate(_BITS)  # byte v is bit v, as 0 or 1
+    return list(compress(range(len(bits)), bits))
 
 
 @dataclass(frozen=True)
@@ -43,14 +67,6 @@ class Graph:
         return Graph(n, frozenset(edges))
 
     @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
-
-    @cached_property
     def masks(self) -> tuple[int, ...]:
         """Neighbour bitmasks: bit u of masks[v] is set when uv is an edge."""
         # One binary-digit row per vertex, parsed once: character -1 - u is bit u.
@@ -66,7 +82,7 @@ class Graph:
         """Inputs to the embedding pipeline need n >= 2 and minimum degree 1."""
         if self.n < 2:
             raise GraphInputError("too_small", f"need at least 2 vertices, got {self.n}")
-        # No adj: the first vertex outside every edge is among the first 2m+1.
+        # No masks, n rows each: the first vertex outside every edge is among the first 2m+1.
         ends = {v for e in self.edges for v in e}
         bad = next((v for v in range(self.n) if v not in ends), None)
         if bad is not None:
@@ -133,14 +149,8 @@ def generate_exhaustive(n: int) -> Iterator[Graph]:
         raise GraphInputError("range", f"exhaustive generation supports 2..6, got {n}")
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        degree = [0] * n
-        edges = []
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                edges.append((u, v))
-                degree[u] += 1
-                degree[v] += 1
-        if all(degree):
+        edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+        if len({v for e in edges for v in e}) == n:
             yield Graph(n, frozenset(edges))
 
 
@@ -165,21 +175,17 @@ def sample_gnp(n: int, p, seed: int) -> tuple[Graph, tuple[Edge, ...]]:
     for u, v in combinations(range(n), 2):
         if rng.random() < prob:
             edges.add((u, v))
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
+    touched = {v for e in edges for v in e}
     repairs: list[Edge] = []
     for v in range(n):
-        if degree[v] == 0:
+        if v not in touched:
             u = rng.randrange(n - 1)
             if u >= v:
                 u += 1
             e = norm_edge(u, v)
             edges.add(e)
             repairs.append(e)
-            degree[u] += 1
-            degree[v] += 1
+            touched.update(e)
     return Graph(n, frozenset(edges)), tuple(repairs)
 
 

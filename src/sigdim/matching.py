@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import PipelineError
-from .graphs import Edge, Graph, norm_edge
+from .graphs import Edge, Graph, lowest, members, norm_edge
 
 
 @dataclass(frozen=True)
@@ -33,33 +33,31 @@ class Matching:
         seen: set[int] = set()
         for u, v in self.edges:
             if not g.has_edge(u, v) or u in seen or v in seen:
-                raise PipelineError("matching", f"edge {u}{v} not in graph or reuses a vertex")
+                raise PipelineError("matching", f"edge {(u, v)} not in graph or reuses a vertex")
             seen.update((u, v))
 
 
 def maximum_matching(g: Graph) -> Matching:
-    n = g.n
-    adj = g.adj
+    n, masks = g.n, g.masks
     mate = [-1] * n
 
-    # Greedy seed; the augmenting search below only has to fix the deficit.
+    # Greedy seed: each free v takes its lowest free neighbour.  The augmenting
+    # search below only has to fix the deficit.
+    free = (1 << n) - 1
     for v in range(n):
-        if mate[v] == -1:
-            for u in adj[v]:
-                if mate[u] == -1:
-                    mate[v] = u
-                    mate[u] = v
-                    break
+        if free >> v & 1 and (nbrs := masks[v] & free):
+            u = lowest(nbrs)
+            mate[v], mate[u] = u, v
+            free &= ~(1 << v | 1 << u)
 
     for root in range(n):
-        if mate[root] != -1:
-            continue
-        _augment_from(n, adj, mate, root)
+        if mate[root] == -1:
+            _augment_from(n, masks, mate, root)
 
     return Matching(frozenset(norm_edge(v, mate[v]) for v in range(n) if mate[v] > v))
 
 
-def _augment_from(n: int, adj, mate: list[int], root: int) -> None:
+def _augment_from(n: int, masks: tuple[int, ...], mate: list[int], root: int) -> None:
     """One alternating BFS with blossom contraction; flips a path if found."""
     parent = [-1] * n
     base = list(range(n))
@@ -92,7 +90,7 @@ def _augment_from(n: int, adj, mate: list[int], root: int) -> None:
 
     while queue and finish == -1:
         v = queue.popleft()
-        for u in adj[v]:
+        for u in members(masks[v]):
             if base[u] == base[v] or mate[v] == u:
                 continue
             if u == root or (mate[u] != -1 and parent[mate[u]] != -1):
@@ -132,8 +130,7 @@ def brute_force_matching(g: Graph) -> int:
     """Maximum matching size by exhaustive search; oracle for small graphs."""
     if g.n > 12:
         raise ValueError(f"brute force limited to n <= 12, got {g.n}")
-    adj = g.adj
-    n = g.n
+    masks, n = g.masks, g.n
     memo: dict[tuple[int, int], int] = {}
 
     def rec(v: int, used: int) -> int:
@@ -145,9 +142,8 @@ def brute_force_matching(g: Graph) -> int:
         if key in memo:
             return memo[key]
         best = rec(v + 1, used)  # leave v unmatched
-        for u in adj[v]:
-            if not used >> u & 1:
-                best = max(best, 1 + rec(v + 1, used | 1 << v | 1 << u))
+        for u in members(masks[v] & ~used):
+            best = max(best, 1 + rec(v + 1, used | 1 << v | 1 << u))
         memo[key] = best
         return best
 

@@ -33,7 +33,7 @@ from typing import Any, Iterable
 
 from .errors import PipelineError
 from .factor import StarTriangleFactor
-from .graphs import Graph
+from .graphs import Graph, lowest, mask_of
 
 
 class PickClass(str, Enum):
@@ -93,7 +93,7 @@ class PickSequence:
     @cached_property
     def earlier(self) -> list[int]:
         """earlier[k]: mask of the vertices picked before block k, for k = 0..count."""
-        return list(accumulate((_mask(p.vertices) for p in self.picks), or_, initial=0))
+        return list(accumulate((mask_of(p.vertices) for p in self.picks), or_, initial=0))
 
     def index_of(self) -> dict[int, int]:
         return {v: p.k for p in self.picks for v in p.vertices}
@@ -187,18 +187,18 @@ class _Run:
         in one leaf group."""
         nbr, mates = self.g.masks, self.f.mates
         rest = self.unpicked()
-        free = _mask(rest)
+        free = mask_of(rest)
         for a in rest:
             na = nbr[a]
             bs = free & ~mates.get(a, 0) & -(2 << a)  # b, then c: unpicked, above a
             if not wanted_edges:
                 bs &= ~na
             while bs:
-                b = _lowest(bs)
+                b = lowest(bs)
                 bs &= bs - 1
                 cs = na ^ nbr[b] if wanted_edges and not na >> b & 1 else ~(na | nbr[b])
                 if cs := cs & bs & ~mates.get(b, 0):
-                    return a, b, _lowest(cs)
+                    return a, b, lowest(cs)
         return None
 
     def independent_triples(self) -> None:
@@ -207,7 +207,7 @@ class _Run:
 
     def one_edge_triples(self) -> None:
         while (t := self.triple_scan(1)) is not None:
-            (s,) = (v for v in t if not self.g.masks[v] & _mask(t))
+            (s,) = (v for v in t if not self.g.masks[v] & mask_of(t))
             p, q = (v for v in t if v != s)
             self.emit(t, PickClass.ONE_EDGE_TRIPLE, 24, roles={"p": p, "q": q, "s": s})
 
@@ -268,11 +268,11 @@ class _Run:
     def nonadjacent_pairs(self) -> None:
         """Step 40: repeatedly the smallest unpicked pair a < b with ab not an edge."""
         rest = self.unpicked()
-        free = _mask(rest)
+        free = mask_of(rest)
         for a in rest:
             qs = free & ~self.g.masks[a] & -(2 << a)
             if free >> a & 1 and qs:
-                b = _lowest(qs)
+                b = lowest(qs)
                 self.emit((a, b), PickClass.NONADJACENT_PAIR, 40, roles={"p": a, "q": b})
                 free &= ~(1 << a | 1 << b)
 
@@ -287,18 +287,9 @@ class _Run:
             self.emit(rest, PickClass.RANDOM, 45)
 
 
-def _mask(vs: Iterable[int]) -> int:
-    """Bitmask of distinct vertices."""
-    return sum(1 << v for v in vs)
-
-
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def _edges_within(g: Graph, vs: tuple[int, ...] | list[int]) -> int:
     """Edges of g with both ends in vs, which holds distinct vertices."""
-    m = _mask(vs)
+    m = mask_of(vs)
     return sum((g.masks[v] & m).bit_count() for v in vs) // 2
 
 
@@ -404,9 +395,9 @@ def _check_later_adjacency(g: Graph, f: StarTriangleFactor, seq: PickSequence) -
         if p.cls is PickClass.RESIDUAL or p.cls is PickClass.NONADJACENT_PAIR:
             must = later
         elif p.cls is PickClass.TWO_LEAF_TRIPLE:
-            must = later & ~_mask(f.stars[p.roles["w"]])
+            must = later & ~mask_of(f.stars[p.roles["w"]])
         for u in p.vertices:
             if missed := must & ~g.masks[u]:
-                v = _lowest(missed)
+                v = lowest(missed)
                 raise PipelineError("picker", f"P_{p.k} ({p.cls.value}): later vertex {v} "
                                     f"not adjacent to {u}", k=p.k, pair=(u, v))

@@ -131,7 +131,7 @@ def validate_schedule(f: StarTriangleFactor, pn: PseudoNeighborhood,
             raise PipelineError("schedule", f"triangle {tri} disagrees on m")
     for u, v in f.residual.edges:
         if m[u] != m[v]:
-            raise PipelineError("schedule", f"matched pair {u}{v} disagrees on m")
+            raise PipelineError("schedule", f"matched pair {(u, v)} disagrees on m")
 
     for p in picks.picks:
         if not 0 <= p.k < n - 1:

@@ -33,7 +33,7 @@ from itertools import chain, repeat
 from operator import add, lshift, sub
 from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, members
 from .rationals import common_scale, rat_to_json, to_grid
 
 Point = tuple[Fraction, ...]
@@ -239,10 +239,10 @@ def oracle_embed_2ia(g: Graph) -> PointSet:
     """Rows of 2I + A: coordinate v is 2 at v, 1 at neighbors, 0 elsewhere."""
     g.require_embeddable()
     rows = []
-    for v in range(g.n):
+    for v, mask in enumerate(g.masks):
         row = [0] * g.n
         row[v] = 2
-        for u in g.adj[v]:
+        for u in members(mask):
             row[u] = 1
         rows.append(row)
     return PointSet.from_rows(rows)

@@ -62,7 +62,7 @@ from operator import sub
 from typing import Any
 
 from .embedding import Embedding, block_dims, dimension_bound
-from .graphs import Graph
+from .graphs import Graph, members
 from .rationals import rat_to_json, to_grid
 from .sig import PointSet, ThresholdKernel, compute_radii, compute_sig
 
@@ -136,13 +136,13 @@ class _Grid:
         if points.small or min(rv) < 0:
             table = points.distances
             self.far_pseudo = [(u, v) for u in range(n) for v in n1[u] if table[u][v] > rv[u]]
-            self.long_edges = [(u, v) for u, a in enumerate(g.adj) for v in a
-                               if v > u and table[u][v] >= rv[u] + rv[v]]
+            self.long_edges = [(u, v) for u in range(n) for v in members(g.masks[u] & -(2 << u))
+                               if table[u][v] >= rv[u] + rv[v]]
         else:  # one kernel test per pseudo-neighbor and per edge, no C(n, 2) sweep
             near, rows = points.kernel.near, points.kernel.lowered(rv)
             self.far_pseudo, self.long_edges = [], []
-            for u, a in enumerate(g.adj):
-                edges = [v for v in a if v > u]
+            for u in range(n):
+                edges = members(g.masks[u] & -(2 << u))
                 within, close = set(near(u, n1[u], rv[u] + 1)), set(near(u, edges, rv[u], rows))
                 self.far_pseudo.extend((u, v) for v in n1[u] if v not in within)
                 self.long_edges.extend((u, v) for v in edges if v not in close)
@@ -241,7 +241,7 @@ def _recompute(points: PointSet, rv: list[int]) -> tuple[list[int], Graph]:
     if not points.small and min(rv) >= 1:
         realized, near = compute_sig(points, rv), points.kernel.near
         if all((within := near(u, a, r + 1)) and not near(u, within, r)
-               for u, (a, r) in enumerate(zip(realized.adj, rv))):
+               for u, (a, r) in enumerate(zip(map(members, realized.masks), rv))):
             return list(rv), realized
     radii = compute_radii(points)
     return radii, compute_sig(points, radii)

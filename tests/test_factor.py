@@ -1,6 +1,9 @@
 from __future__ import annotations
 
-from sigdim import maximum_matching, parse_graph, star_triangle_factor, validate_factor
+import pytest
+
+from sigdim import (Matching, PipelineError, StarTriangleFactor, maximum_matching, parse_graph,
+                    star_triangle_factor, validate_factor)
 from conftest import C3, K13, K2
 
 
@@ -49,3 +52,14 @@ def test_leaves_of_distinct_stars_non_adjacent(corpus5):
         for i, a in enumerate(leaves):
             for b in leaves[i + 1:]:
                 assert not g.has_edge(a, b)
+
+
+@pytest.mark.parametrize("text,stars,triangles,message", [
+    (K2, {-1: frozenset({0, 1})}, frozenset(), r"star edge \(-1, [01]\) missing"),
+    ("11 2\n0 1\n0 10\n", {}, frozenset({(0, 1, 10)}), r"missing edge \(1, 10\)"),
+], ids=["star", "triangle"])
+def test_validate_prints_each_pair_apart(text, stars, triangles, message):
+    # A loaded star {"-1": [0, 1]} used to print "star edge -10 missing".
+    f = StarTriangleFactor(stars, triangles, Matching(frozenset()))
+    with pytest.raises(PipelineError, match=message):
+        validate_factor(parse_graph(text), f)

@@ -3,10 +3,10 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sigdim import Graph, GraphInputError, generate_exhaustive, generate_random, parse_graph
-from sigdim.graphs import count_min_degree_one, sample_gnp
+from sigdim.graphs import count_min_degree_one, lowest, mask_of, members, sample_gnp
 
 
 def test_parse_single_edge():
@@ -54,7 +54,24 @@ def test_serialize_roundtrip(g):
 @given(graphs(max_n=20))
 @settings(max_examples=100, deadline=None)
 def test_masks_hold_the_neighbours(g):
-    assert g.masks == tuple(sum(1 << u for u in g.adj[v]) for v in range(g.n))
+    assert g.masks == tuple(sum(1 << u for e in g.edges if v in e for u in e if u != v)
+                            for v in range(g.n))
+
+
+# Dense masks, and masks of up to 20 vertices below 300: members switches
+# method at 16 set bits.
+@given(st.integers(min_value=0, max_value=1 << 200)
+       | st.sets(st.integers(0, 299), max_size=20).map(lambda vs: sum(1 << v for v in vs)))
+@example(0)
+@example(1)
+@example((1 << 64) | 1 << 130)
+@settings(max_examples=300, deadline=None)
+def test_mask_helpers_match_plain_references(mask):
+    bits = [v for v in range(mask.bit_length()) if mask >> v & 1]
+    assert members(mask) == bits
+    assert mask_of(bits) == mask
+    if mask:
+        assert lowest(mask) == min(bits)
 
 
 def test_exhaustive_counts():
@@ -81,7 +98,7 @@ def test_exhaustive_unique_and_min_degree():
         key = g.serialize()
         assert key not in seen
         seen.add(key)
-        assert all(g.adj)
+        assert all(g.masks)
 
 
 def test_exhaustive_range():
@@ -99,7 +116,7 @@ def test_random_p_one_is_complete():
 def test_random_p_zero_is_repairs_only():
     g, repairs = sample_gnp(4, 0, seed=11)
     assert g.edges == frozenset(repairs)
-    assert min(len(g.adj[v]) for v in range(4)) >= 1
+    assert min(mask.bit_count() for mask in g.masks) >= 1
 
 
 def test_random_deterministic():
@@ -111,7 +128,7 @@ def test_random_deterministic():
 def test_random_min_degree():
     for seed in range(30):
         g = generate_random(9, 0.1, seed)
-        assert all(g.adj)
+        assert all(g.masks)
 
 
 def test_delete_vertex_relabels():

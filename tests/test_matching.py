@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from sigdim import (Matching, PipelineError, brute_force_matching, generate_random,
                     maximum_matching, parse_graph)
-from conftest import C5, K2
+from conftest import C5, K2, planted_stars
 
 
 PETERSEN = (
@@ -75,3 +77,21 @@ def test_random_graphs_against_oracle():
 def test_validate_raises_pipeline_error(edges):
     with pytest.raises(PipelineError, match="not in graph or reuses a vertex"):
         Matching(frozenset(edges)).validate(parse_graph("3 2\n0 1\n1 2\n"))
+
+
+def test_validate_prints_the_pair_apart():
+    # (1, 10) and (11, 0) must not both print as "110".
+    with pytest.raises(PipelineError, match=r"edge \(1, 10\) not in graph"):
+        Matching(frozenset({(1, 10)})).validate(parse_graph("12 1\n0 1\n"))
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)])
+def test_matching_size_matches_networkx(p):
+    # networkx's blossom matching is a test-only oracle beyond brute force's n <= 12.
+    nx = pytest.importorskip("networkx")
+    graphs = [generate_random(n, p, seed) for seed, n in enumerate(range(13, 201, 17))]
+    for g in graphs + [planted_stars(n, int(p * 10)) for n in (40, 120, 200)]:
+        h = nx.Graph(list(g.edges))
+        m = maximum_matching(g)
+        m.validate(g)
+        assert m.size() == len(nx.max_weight_matching(h, maxcardinality=True)), g.serialize()

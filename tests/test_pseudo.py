@@ -119,3 +119,10 @@ def test_validate_schedule_rejects_tampered_m(m, message):
     with pytest.raises(PipelineError, match=message) as info:
         validate_schedule(f, pn, seq, replace(sched, m={**sched.m, **m}))
     assert info.value.stage == "schedule"
+
+
+def test_validate_schedule_prints_the_matched_pair_apart():
+    # K2's factor is the one matched pair (0, 1).
+    _, f, seq, pn, sched = pipeline_to_schedule(K2)
+    with pytest.raises(PipelineError, match=r"matched pair \(0, 1\) disagrees on m"):
+        validate_schedule(f, pn, seq, replace(sched, m={0: 0, 1: 1}))

@@ -53,6 +53,32 @@ def test_no_private_imports_across_modules():
     assert found == []
 
 
+def test_adjacency_read_through_graph_masks():
+    # Neighbours are read from Graph.masks, with the mask helpers graphs.py owns:
+    # no module reads `.adj`, and none outside graphs.py keeps its own lowest-bit
+    # (x & -x) or vertex-mask (sum(1 << v for v in ...)) helper.
+    def own_helper(node):
+        if isinstance(node, ast.FunctionDef):
+            return node.name.strip("_") in ("mask", "mask_of", "lowest", "members")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+            return any(isinstance(b, ast.UnaryOp) and isinstance(b.op, ast.USub)
+                       and ast.dump(b.operand) == ast.dump(a)
+                       for a, b in ((node.left, node.right), (node.right, node.left)))
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+                and node.args and isinstance(gen := node.args[0], (ast.GeneratorExp, ast.ListComp))
+                and isinstance(gen.elt, ast.BinOp) and isinstance(gen.elt.op, ast.LShift)
+                and getattr(gen.elt.left, "value", None) == 1)
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(sigdim.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "adj"
+        or path.name != "graphs.py" and own_helper(node)
+    ]
+    assert found == []
+
+
 def load_tracing():
     """The benchmark's tracer module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
