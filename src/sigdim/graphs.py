@@ -36,7 +36,7 @@ def lowest(mask: int) -> int:
 
 def members(mask: int) -> list[int]:
     """The vertices of a mask >= 0, in increasing order."""
-    if mask.bit_count() < 16:  # sparse: peel off the lowest bit
+    if mask.bit_count() < 16:  # sparse: peeling bits beats walking all n digits
         out = []
         while mask:
             out.append(lowest(mask))
