@@ -21,9 +21,9 @@ import sys
 import threading
 from contextlib import contextmanager, suppress
 from fractions import Fraction
-from itertools import chain
+from functools import cache
 from pathlib import Path
-from typing import Any, Iterator, NoReturn
+from typing import Any, Callable, Iterator, NoReturn
 
 from .embedding import Embedding, block_dims, dimension_bound, embed
 from .errors import GraphInputError, PipelineError
@@ -50,8 +50,64 @@ def _read_graph(path: str) -> Graph:
     return parse_graph(text)
 
 
+_scalar = json.JSONEncoder().encode
+
+
+@cache
+def _separated(level: int) -> Callable[[Any], str]:
+    """A C encoder whose item separator starts a line indented ``level`` steps."""
+    return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
+
+
+def _key(k: Any) -> str:
+    if isinstance(k, str):
+        return _scalar(k)
+    if isinstance(k, (int, float)) or k is None:
+        return '"' + _scalar(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _indented(v: Any, level: int) -> str:
+    """``json.dumps(v, indent=2)`` for a value whose items sit ``level`` steps in.
+
+    A list of scalars is encoded in one C call and only its brackets are
+    re-spaced.  It counts as one when its first item is no container and its
+    text has no bracket after the opening one; a string may hold a bracket,
+    and then the list is walked item by item like any other.
+    """
+    if type(v) is int:
+        return repr(v)
+    if not (isinstance(v, (list, tuple, dict)) and v):
+        return _scalar(v)  # empty containers too: "[]" and "{}"
+    pad = "\n" + "  " * level
+    if isinstance(v, dict):
+        items = [_key(k) + ": " + _indented(x, level + 1) for k, x in v.items()]
+        return f"{{{pad}{(',' + pad).join(items)}{pad[:-2]}}}"
+    if not isinstance(v[0], (list, tuple, dict)):
+        text = _separated(level)(v)
+        if text.find("[", 1) == text.find("{", 1) == -1:
+            return f"[{pad}{text[1:-1]}{pad[:-2]}]"
+    return f"[{pad}{(',' + pad).join([_indented(x, level + 1) for x in v])}{pad[:-2]}]"
+
+
+class _Indent2(json.JSONEncoder):
+    """Hands ``json.dumps`` the layout of ``indent=2`` from ``_indented``."""
+
+    def encode(self, o: Any) -> str:
+        return _indented(o, 1)
+
+
+def _dumps(data: Any) -> str:
+    """Exactly ``json.dumps(data, indent=2)``, with every list of scalars encoded in C.
+
+    CPython's own C encoder runs only without ``indent``.  The one top-level
+    ``json.dumps`` call per file is what a tracer of ``json.dumps`` sees.
+    """
+    return json.dumps(data, indent=2, cls=_Indent2)
+
+
 def _emit(data: Any, out: str | None) -> None:
-    text = json.dumps(data, indent=2) + "\n"
+    text = _dumps(data) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -60,7 +116,7 @@ def _emit(data: Any, out: str | None) -> None:
 
 def _render_report(report: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _dumps(report) + "\n"
     lines = [f"verdict: {report['verdict']}"]
     for key in ("sig_equal", "radius_agree", "bound_ok"):
         lines.append(f"{key}: {'yes' if report[key] else 'NO'}")
@@ -97,13 +153,6 @@ def _roles(roles, n: int) -> dict[str, int]:
     return dict(roles)
 
 
-def _coord_rows(rows) -> list:
-    """JSON coordinate rows for ``PointSet.from_rows``; rows of ints alone pass as they are."""
-    if set(map(type, chain.from_iterable(rows))) == {int}:
-        return rows
-    return [[rat_from_json(x) for x in row] for row in rows]
-
-
 def _fields(data: dict[str, Any]) -> dict[tuple[str, ...], str]:
     """An embedding file's fields but coords as JSON text, keyed by path (trace one level down)."""
     fields = {(k,): v for k, v in data.items() if k not in ("coords", "trace")}
@@ -126,7 +175,7 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     widths sum to the coordinate width.
     """
     trace = data["trace"]
-    rows = _coord_rows(data["coords"])
+    rows = data["coords"]
     if not len(rows) == len(trace["rv"]) == g.n:
         raise ValueError(f"coords and trace.rv need one entry per vertex, n={g.n}")
     points = PointSet.from_rows(rows)
@@ -169,7 +218,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     try:
         emb = embed(g, args.r)
     except PipelineError as exc:
-        print(json.dumps(exc.to_json(), indent=2), file=sys.stderr)
+        print(_dumps(exc.to_json()), file=sys.stderr)
         return EXIT_PIPELINE
     report = verify(g, emb)
     _emit(emb.to_json(), args.out)
@@ -185,8 +234,9 @@ def cmd_sig(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(args.points).read_text())
         rows = data["coords"] if isinstance(data, dict) else data
-        g = compute_sig(PointSet.from_rows(_coord_rows(rows)))
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # coincident points raise too
+        g = compute_sig(PointSet.from_rows(rows))
+    except (OSError, ValueError, KeyError, TypeError,  # coincident points raise too
+            RecursionError) as exc:  # a file nested too deeply for json.loads
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     sys.stdout.write(g.serialize())
@@ -198,7 +248,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         g = _read_graph(args.graph)
         g.require_embeddable()
         emb = embedding_from_json(g, json.loads(Path(args.points).read_text()))
-    except (OSError, ValueError, KeyError, TypeError, PipelineError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = verify(g, emb)
@@ -399,7 +449,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 continue
             outdir.mkdir(parents=True, exist_ok=True)
             path = outdir / f"counterexample-seed{seed}.json"
-            path.write_text(json.dumps(bundle, indent=2) + "\n")
+            path.write_text(_dumps(bundle) + "\n")
             failures.append({"seed": seed, "n": n, "bundle": str(path)})
     summary = {
         "count": args.count,

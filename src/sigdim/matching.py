@@ -8,7 +8,6 @@ matching.  ``brute_force_matching`` is the independent oracle for tests.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import PipelineError
@@ -50,21 +49,28 @@ def maximum_matching(g: Graph) -> Matching:
             mate[v], mate[u] = u, v
             free &= ~(1 << v | 1 << u)
 
-    for root in range(n):
-        if mate[root] == -1:
-            _augment_from(n, masks, mate, root)
+    if free:  # one set of search lists for every root: each search restores what it wrote
+        parent, base, in_queue = [-1] * n, list(range(n)), [False] * n
+        for root in members(free):
+            if mate[root] == -1:  # no search unmatches a vertex, but one may match this
+                _augment_from(masks, mate, root, parent, base, in_queue)
 
     return Matching(frozenset(norm_edge(v, mate[v]) for v in range(n) if mate[v] > v))
 
 
-def _augment_from(n: int, masks: tuple[int, ...], mate: list[int], root: int) -> None:
-    """One alternating BFS with blossom contraction; flips a path if found."""
-    parent = [-1] * n
-    base = list(range(n))
-    in_queue = [False] * n
-    queue: deque[int] = deque([root])
+def _augment_from(masks: tuple[int, ...], mate: list[int], root: int,
+                  parent: list[int], base: list[int], in_queue: list[bool]) -> None:
+    """One alternating BFS with blossom contraction; flips a path if found.
+
+    ``parent``, ``base`` and ``in_queue`` hold -1, v and False for every v on
+    entry, and again on return: a search that fails, as most do, touches few
+    vertices, so it resets those rather than building three lists of n.
+    """
+    n = len(mate)
+    queue = [root]  # every vertex queued so far; the search reads it from `head`
+    parented = []  # vertices given a parent; all others that change are queued
     in_queue[root] = True
-    finish = -1
+    head, finish = 0, -1
 
     def lca(a: int, b: int) -> int:
         used = [False] * n
@@ -85,11 +91,13 @@ def _augment_from(n: int, masks: tuple[int, ...], mate: list[int], root: int) ->
             blossom[base[v]] = True
             blossom[base[mate[v]]] = True
             parent[v] = child
+            parented.append(v)
             child = mate[v]
             v = parent[mate[v]]
 
-    while queue and finish == -1:
-        v = queue.popleft()
+    while head < len(queue) and finish == -1:
+        v = queue[head]
+        head += 1
         for u in members(masks[v]):
             if base[u] == base[v] or mate[v] == u:
                 continue
@@ -107,6 +115,7 @@ def _augment_from(n: int, masks: tuple[int, ...], mate: list[int], root: int) ->
                             queue.append(i)
             elif parent[u] == -1:
                 parent[u] = v
+                parented.append(u)
                 if mate[u] == -1:
                     finish = u
                     break
@@ -115,8 +124,6 @@ def _augment_from(n: int, masks: tuple[int, ...], mate: list[int], root: int) ->
                     in_queue[w] = True
                     queue.append(w)
 
-    if finish == -1:
-        return
     u = finish
     while u != -1:
         pv = parent[u]
@@ -124,6 +131,10 @@ def _augment_from(n: int, masks: tuple[int, ...], mate: list[int], root: int) ->
         mate[pv] = u
         mate[u] = pv
         u = next_u
+    for v in queue:  # a changed base is a queued vertex's: the blossom loop queues it
+        base[v], in_queue[v] = v, False
+    for v in parented:
+        parent[v] = -1
 
 
 def brute_force_matching(g: Graph) -> int:

@@ -34,7 +34,7 @@ from operator import add, lshift, sub
 from typing import Iterable
 
 from .graphs import Graph, members
-from .rationals import common_scale, rat_to_json, to_grid
+from .rationals import common_scale, rat_from_json, rat_to_json, to_grid
 
 Point = tuple[Fraction, ...]
 
@@ -53,10 +53,14 @@ class PointSet:
 
     @staticmethod
     def from_rows(rows) -> PointSet:
-        """Rows of ints or Fractions onto the grid of their common denominator.
+        """Rows of ints, Fractions or JSON "p/q" strings on their common denominator's grid.
 
-        Rows of ints alone are the scale-1 grid as they stand.
+        Rows of ints alone are the scale-1 grid as they stand.  A float or a
+        bool is not a rational, even when it equals one.
         """
+        types = set(map(type, chain.from_iterable(rows)))
+        if not types <= {int, Fraction}:
+            rows = [[x if type(x) is Fraction else rat_from_json(x) for x in r] for r in rows]
         if len(rows) < 2:
             raise ValueError("need at least two points")
         widths = {len(r) for r in rows}
@@ -65,7 +69,7 @@ class PointSet:
         d = widths.pop()
         if d == 0:
             raise ValueError("points need at least one coordinate")
-        if set(map(type, chain.from_iterable(rows))) == {int}:
+        if types == {int}:
             return PointSet(d, tuple(map(tuple, rows)), 1)
         scale = common_scale(x for r in rows for x in r)
         return PointSet(d, tuple(tuple(to_grid(r, scale)) for r in rows), scale)

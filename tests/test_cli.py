@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import sigdim
 from sigdim import Graph, embed, generate_random, parse_graph
-from sigdim.cli import embedding_from_json, main
+from sigdim.cli import _dumps, _fuzz_instance, embedding_from_json, main
 from conftest import C3, K2, K13, planted_stars
 
 
@@ -487,6 +487,15 @@ def test_zero_denominator_rejected(tmp_path, capsys, k2_file, command):
     assert one_line_error(*run(capsys, *argv))
 
 
+@pytest.mark.parametrize("command", ["sig", "verify"])
+def test_deeply_nested_points_rejected(tmp_path, capsys, k2_file, command):
+    # json.loads gives up on this nesting with RecursionError, not ValueError.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = ["sig", path] if command == "sig" else ["verify", k2_file, path]
+    assert one_line_error(*run(capsys, *argv))
+
+
 @pytest.mark.parametrize("points,message", [
     ([[1, 2], [3, 4], [1, 2]], "duplicate points 0 and 2"),
     ({"coords": [[], []]}, "at least one coordinate"),
@@ -786,3 +795,63 @@ def test_commands_survive_mutated_graph(case):
             assert code in ((0, 1, 2, 3) if argv[0] == "embed" else (0, 1, 2))
             if code == 1:
                 assert one_line_error(code, stdout.getvalue(), stderr.getvalue())
+
+
+_json_text = st.text(st.sampled_from('[]{}",:\\\n a\u00e9\u2603\U0001f600')) | st.text()
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _json_text,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_json_text | st.integers() | st.booleans() | st.floats(),
+                                     inner)),
+    max_leaves=40)
+
+
+@given(_json_value)
+@settings(max_examples=300, deadline=None)
+def test_writer_is_json_dumps_indent2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": []}, [1, [2], "x"], ["[", "{", 3], [3, {"k": "v"}],
+    (1, (2,), ()), {1: [2], "s\n\"\u00e9": "[{"}, ["a\u2603", ["b"]], "[", 5,
+])
+def test_writer_edge_cases(value):
+    # Empty containers, a scalar-first list holding a container, brackets in strings.
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("r", [None, "7/3"], ids=["default-r", "r-7/3"])
+def test_embed_file_is_json_dumps_indent2(tmp_path, capsys, r):
+    # At r = 7/3 the coordinates are "p/q" strings, so every row is text.
+    g = planted_stars(60, 3)
+    graph, out = tmp_path / "g.txt", tmp_path / "g.json"
+    graph.write_text(g.serialize())
+    assert run(capsys, "embed", graph, "-o", out, *(["--r", r] if r else []))[0] == 0
+    expected = embed(g, r and Fraction(r)).to_json()
+    assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+
+
+def test_fuzz_bundle_is_json_dumps_indent2(tmp_path, capsys):
+    bundles = tmp_path / "bundles"
+    assert run(capsys, "fuzz", "--n-min", "18", "--n-max", "18", "--p", "1/10",
+               "--seed", "2960", "--count", "1", "--bundle-dir", bundles)[0] == 0
+    _, bundle = _fuzz_instance((2960, 18, Fraction(1, 10), None))
+    written = (bundles / "counterexample-seed2960.json").read_text()
+    assert written == json.dumps(bundle, indent=2) + "\n"
+
+
+def test_pipeline_diagnostic_is_json_dumps_indent2(capsys, monkeypatch, k2_file):
+    import sigdim.cli
+    from sigdim import PipelineError
+
+    exc = PipelineError("picker", "no rule \"applies\" [here]", step=27, pair=(3, 5),
+                        stars={2: [0, 1], 4: []}, seen=frozenset({4, 1}))
+
+    def fail(g, r):
+        raise exc
+
+    monkeypatch.setattr(sigdim.cli, "embed", fail)
+    code, stdout, stderr = run(capsys, "embed", k2_file)
+    assert code == 3 and stdout == ""
+    assert stderr == json.dumps(exc.to_json(), indent=2) + "\n"

@@ -79,6 +79,22 @@ def test_adjacency_read_through_graph_masks():
     assert found == []
 
 
+def test_json_indent_passed_only_by_the_writer():
+    # json.dumps(indent=...) runs CPython's pure-Python encoder; cli._dumps writes
+    # the same bytes with lists of scalars encoded in C, so every indented file
+    # goes through it.
+    found = []
+    for path in sorted(Path(sigdim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        writer = [(f.lineno, f.end_lineno) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "_dumps"
+                  and path.name == "cli.py"]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)
+                  and not any(lo <= node.lineno <= hi for lo, hi in writer)]
+    assert found == []
+
+
 def load_tracing():
     """The benchmark's tracer module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -106,6 +122,24 @@ def test_perfbench_patch_targets_exist(tmp_path):
     # The recorded calls feed the per-layer counts, which read the embedding.
     sizes = tracing._observed_sizes(tracer.observed)
     assert sizes["sum"]["verify.ineq_evals.f2"] > 0
+
+
+def test_traced_embed_dumps_its_file_once(tmp_path):
+    # The tracer wraps json.dumps in sigdim.cli: one call per written file keeps
+    # cli.json_dumps_s one span per file and cli.json_bytes the file's size.
+    tracing = load_tracing()
+    graph, out = tmp_path / "g.txt", tmp_path / "g.json"
+    graph.write_text(generate_random(40, 0.5, 1).serialize())
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = sigdim.cli.main(["embed", str(graph), "-o", str(out)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert [span[0] for span in tracer.spans].count("cli.json_dumps") == 1
+    sizes = tracing._observed_sizes(tracer.observed)
+    assert sizes["sum"]["cli.json_bytes"] == len(out.read_bytes()) - 1  # _emit adds "\n"
 
 
 def test_traced_failing_verify_records_the_sig_sweep(tmp_path):
