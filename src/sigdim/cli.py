@@ -51,6 +51,7 @@ def _read_graph(path: str) -> Graph:
 
 
 _scalar = json.JSONEncoder().encode
+_sorted = json.JSONEncoder(sort_keys=True).encode  # json.dumps(v, sort_keys=True)
 
 
 @cache
@@ -157,7 +158,7 @@ def _fields(data: dict[str, Any]) -> dict[tuple[str, ...], str]:
     """An embedding file's fields but coords as JSON text, keyed by path (trace one level down)."""
     fields = {(k,): v for k, v in data.items() if k not in ("coords", "trace")}
     fields.update((("trace", k), v) for k, v in data["trace"].items())
-    return {k: json.dumps(v, sort_keys=True) for k, v in fields.items()}
+    return {k: _sorted(v) for k, v in fields.items()}
 
 
 def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:

@@ -4,20 +4,31 @@ Vertices are dense integers ``0..n-1``.  Edges are stored as sorted pairs;
 every neighbour read goes through ``Graph.masks``, one bitmask per vertex, and
 the mask helpers here.  Everything downstream breaks ties by smallest vertex
 index, so ``members`` lists a mask's vertices in increasing order.
+
+``parse_graph`` reads the canonical text that ``Graph.serialize`` writes in
+bulk: one regex match, one C conversion of every token, and whole-file checks
+of the line count, range, order and duplicates.  Any other text, and canonical
+text that fails a check, is read line by line, which names the offending line.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
+from operator import lt
 from typing import Iterable, Iterator
 
 from .errors import GraphInputError
 
 Edge = tuple[int, int]
 _BITS = bytes.maketrans(b"01", b"\0\1")
+# Lines "a b\n" of digits and one space.  Possessive, so a match keeps no
+# backtracking stack, whatever the length of the file.
+_CANONICAL = re.compile(r"(?:[0-9]++ [0-9]++\n)++")
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -76,17 +87,23 @@ class Graph:
         return tuple(int(row, 2) for row in rows)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self.edges
+        """Whether uv is an edge; False for any id outside 0..n-1."""
+        return 0 <= u < self.n and 0 <= v < self.n and self.masks[u] >> v & 1 == 1
 
     def require_embeddable(self) -> None:
         """Inputs to the embedding pipeline need n >= 2 and minimum degree 1."""
         if self.n < 2:
             raise GraphInputError("too_small", f"need at least 2 vertices, got {self.n}")
-        # No masks, n rows each: the first vertex outside every edge is among the first 2m+1.
-        ends = {v for e in self.edges for v in e}
-        bad = next((v for v in range(self.n) if v not in ends), None)
-        if bad is not None:
-            raise GraphInputError("isolated", f"isolated vertex {bad}")
+        if 2 * len(self.edges) >= self.n:
+            if all(self.masks):
+                return
+            bad = self.masks.index(0)
+        else:
+            # 2m < n, so some vertex is isolated, the first among the first 2m+1:
+            # find it from the edge ends, not from n masks (n may be huge).
+            ends = {v for e in self.edges for v in e}
+            bad = next(v for v in range(self.n) if v not in ends)
+        raise GraphInputError("isolated", f"isolated vertex {bad}")
 
     def serialize(self) -> str:
         lines = [f"{self.n} {len(self.edges)}"]
@@ -104,6 +121,35 @@ class Graph:
 
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: first line "n m", then m lines "u v"."""
+    g = _parse_canonical(text)
+    return g if g is not None else _parse_lines(text)
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph of a text in ``serialize``'s form, or None for any other text.
+
+    The form is a header "n m" and m lines "u v" with u < v, digits and single
+    spaces only, with or without a final newline.  None also for such a text
+    that fails a check; ``_parse_lines`` then says where.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
+    if _CANONICAL.fullmatch(text) is None:
+        return None
+    try:
+        nums = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:  # a leading zero, or a token past int's digit limit
+        return None
+    n, m = nums[0], nums[1]
+    us, vs = nums[2::2], nums[3::2]
+    edges = frozenset(zip(us, vs))
+    if len(us) == len(edges) == m and all(map(lt, us, vs)) and (not vs or max(vs) < n):
+        return Graph(n, edges)
+    return None
+
+
+def _parse_lines(text: str) -> Graph:
+    """Parse any text line by line; a bad line raises its own GraphInputError."""
     lines = text.splitlines()
     if not lines:
         raise GraphInputError("malformed", "empty input")

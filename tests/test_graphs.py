@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sigdim import Graph, GraphInputError, generate_exhaustive, generate_random, parse_graph
-from sigdim.graphs import count_min_degree_one, lowest, mask_of, members, sample_gnp
+from sigdim.graphs import (_parse_canonical, _parse_lines, count_min_degree_one, lowest,
+                           mask_of, members, sample_gnp)
 
 
 def test_parse_single_edge():
@@ -149,3 +150,147 @@ def test_huge_header_rejected_without_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
 
+
+def test_has_edge_is_false_outside_the_vertex_range():
+    # Loaded factor ids reach has_edge unchecked; masks[-1] would be vertex n-1's row.
+    g = parse_graph("3 3\n0 1\n0 2\n1 2\n")
+    assert g.has_edge(2, 1) and g.has_edge(0, 2)
+    for u, v in [(-1, 0), (0, -1), (-1, 2), (2, -1), (3, 0), (0, 3), (-1, 3), (3, -1)]:
+        assert g.has_edge(u, v) is False
+
+
+@pytest.mark.parametrize("text,bad", [
+    ("5 2\n0 1\n2 3\n", 4),       # 2m < n: found from the edge ends
+    ("5 3\n0 1\n0 3\n1 3\n", 2),  # 2m >= n: the first zero mask
+    ("4 2\n1 2\n2 3\n", 0),
+])
+def test_require_embeddable_names_the_first_isolated_vertex(text, bad):
+    with pytest.raises(GraphInputError, match=f"^isolated vertex {bad}$") as err:
+        parse_graph(text).require_embeddable()
+    assert err.value.kind == "isolated"
+
+
+@given(graphs(max_n=12), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_serialized_text_takes_the_bulk_path(g, final_newline):
+    text = g.serialize()
+    assert _parse_canonical(text if final_newline else text[:-1]) == g
+
+
+def _outcome(parse, text):
+    """The graph parsed, or the error's kind, line and message."""
+    try:
+        return parse(text)
+    except GraphInputError as err:
+        return err.kind, err.line, str(err)
+
+
+def _token(edit):
+    """A mutation that rewrites one token of one line."""
+    def mutate(draw, lines, n):
+        if not lines:
+            return
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split(" ")
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[j] = edit(tokens[j], n)
+        lines[i] = " ".join(tokens)
+    return mutate
+
+
+def _line(edit):
+    """A mutation that rewrites one edge line (the header when there is none)."""
+    def mutate(draw, lines, n):
+        if not lines:
+            return
+        i = draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))
+        lines[i:i + 1] = edit(lines[i], n)
+    return mutate
+
+
+def _header_count(delta):
+    def mutate(draw, lines, n):
+        n_text, _, m_text = lines[0].partition(" ") if lines else ("", "", "")
+        if m_text.isascii() and m_text.isdigit() and len(m_text) < 9:
+            lines[0] = f"{n_text} {max(0, int(m_text) + delta)}"
+    return mutate
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_MUTATIONS = [
+    _line(lambda ln, n: [ln.replace(" ", "\t")]),                   # tab
+    _line(lambda ln, n: [ln, ""]),                                  # blank line
+    _line(lambda ln, n: [ln, " \t "]),                              # whitespace-only line
+    _line(lambda ln, n: [ln + " "]),                                # trailing space
+    _line(lambda ln, n: [ln.replace(" ", "  ")]),                   # two spaces
+    _line(lambda ln, n: [ln, ln]),                                  # duplicate
+    _line(lambda ln, n: []),                                        # a line fewer
+    _line(lambda ln, n: [" ".join(reversed(ln.split(" ")))]),       # u > v
+    _line(lambda ln, n: [f"{ln.split(' ')[0]} {ln.split(' ')[0]}"]),  # self-loop
+    _line(lambda ln, n: [ln + " 1"]),                               # three tokens
+    _token(lambda t, n: "0" + t),                                   # leading zero
+    _token(lambda t, n: "+" + t),
+    _token(lambda t, n: "-" + t),
+    _token(lambda t, n: t.translate(_ARABIC_INDIC)),                # int() reads these
+    _token(lambda t, n: "9" * 4301),                                # past int's digit limit
+    _token(lambda t, n: str(n)),                                    # out of range
+    _token(lambda t, n: str(n + 7)),
+    _token(lambda t, n: ""),
+    _header_count(1),
+    _header_count(-1),
+]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """``serialize`` texts, some edited the ways a hand-written file differs."""
+    g = draw(graphs(max_n=10))
+    lines = g.serialize().splitlines()
+    for mutate in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3)):
+        mutate(draw, lines, g.n)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@given(edge_list_texts())
+@example("3 2\r\n0 1\r\n1 2\r\n")
+@example("3 2\n0\t1\n1 2\n")
+@example("3 2\n0 1\n\n1 2\n")
+@example("3 2\n0 1\n  \n1 2\n")
+@example("3 2\n0 1 \n1 2")
+@example("3 2\n00 1\n1 2")
+@example("03 2\n0 1\n1 2")
+@example("3 2\n+0 1\n1 2")
+@example("3 2\n٠ 1\n1 2")
+@example("3 1\n0 " + "9" * 4301)
+@example("3 2\n1 0\n1 2")
+@example("3 2\n0 1\n0 1")
+@example("3 1\n1 1")
+@example("3 1\n0 3")
+@example("3 3\n0 1\n1 2")
+@example("3 1\n0 1\n1 2")
+@example("3\n0 1")
+@example("3 1 1\n0 1")
+@example("\n")
+@example("")
+@settings(max_examples=400, deadline=None)
+def test_bulk_parse_matches_the_line_loop(text):
+    # Whatever path parse_graph takes, the graph or the error (kind, line and
+    # message) is the line loop's.
+    assert _outcome(parse_graph, text) == _outcome(_parse_lines, text)
+
+
+def test_bulk_parse_allocates_less_than_the_line_loop():
+    # A backtracking regex would keep a stack of megabytes on this 120 KB text,
+    # more than the line loop's whole peak; the possessive one keeps none.
+    text = generate_random(200, 0.9, 13).serialize()
+
+    def peak(parse):
+        tracemalloc.start()
+        try:
+            parse(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_graph) < peak(_parse_lines)

@@ -142,6 +142,26 @@ def test_traced_embed_dumps_its_file_once(tmp_path):
     assert sizes["sum"]["cli.json_bytes"] == len(out.read_bytes()) - 1  # _emit adds "\n"
 
 
+def test_traced_verify_dumps_only_its_report(tmp_path):
+    # The loader compares fields as JSON text through encoders of its own: the
+    # tracer's cli.json_dumps sees the report and nothing else.
+    tracing = load_tracing()
+    graph, emb, out = tmp_path / "g.txt", tmp_path / "g.json", tmp_path / "report.json"
+    g = generate_random(40, 0.5, 1)
+    graph.write_text(g.serialize())
+    emb.write_text(json.dumps(embed(g).to_json()))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = sigdim.cli.main(["verify", str(graph), str(emb), "-o", str(out)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert [span[0] for span in tracer.spans].count("cli.json_dumps") == 1
+    sizes = tracing._observed_sizes(tracer.observed)
+    assert sizes["sum"]["cli.json_bytes"] == len(out.read_bytes()) - 1  # the report's "\n"
+
+
 def test_traced_failing_verify_records_the_sig_sweep(tmp_path):
     # A failing verify sweeps the SIG through the names the tracer patches in
     # sigdim.verify; called by any other name, the traced sig metrics read 0.
@@ -171,6 +191,30 @@ def test_cli_import_defers_process_pools():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_graphs_imports_only_what_cli_loads_anyway():
+    # Reading a graph file must add no import to setup: graphs.py may import only
+    # modules that `import sigdim.cli` loads without it (json, and re through json
+    # and argparse).  Run with graphs.py stubbed out and list what got loaded.
+    src = Path(sigdim.__file__).parent
+    script = ("import sys, types\n"
+              "stub = types.ModuleType('sigdim.graphs')\n"
+              "stub.__getattr__ = lambda name: object\n"
+              "sys.modules['sigdim.graphs'] = stub\n"
+              "import sigdim.cli\n"
+              "print(*sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src.parent)},
+                          check=True)
+    loaded = set(done.stdout.split())
+    imported = set()
+    for node in ast.walk(ast.parse((src / "graphs.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert imported <= loaded, imported - loaded
 
 
 def test_readme_library_example_runs():
