@@ -6,16 +6,16 @@ the mask helpers here.  Everything downstream breaks ties by smallest vertex
 index, so ``members`` lists a mask's vertices in increasing order.
 
 ``parse_graph`` reads the canonical text that ``Graph.serialize`` writes in
-bulk: one regex match, one C conversion of every token, and whole-file checks
-of the line count, range, order and duplicates.  Any other text, and canonical
-text that fails a check, is read line by line, which names the offending line.
+bulk: one C pass over its separators, one C conversion of every token, and
+whole-file checks of the line count, range, order and duplicates.  Any other
+text, and canonical text that fails a check, is read line by line, which names
+the offending line.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
@@ -26,9 +26,10 @@ from .errors import GraphInputError
 
 Edge = tuple[int, int]
 _BITS = bytes.maketrans(b"01", b"\0\1")
-# Lines "a b\n" of digits and one space.  Possessive, so a match keeps no
-# backtracking stack, whatever the length of the file.
-_CANONICAL = re.compile(r"(?:[0-9]++ [0-9]++\n)++")
+# Deletes the ASCII digits; what is left of a canonical text is " \n" per line.
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+# Above this n, Graph.masks builds its rows one at a time (1 MiB of rows at once).
+_ALL_ROWS_MAX_N = 1024
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -81,10 +82,25 @@ class Graph:
     def masks(self) -> tuple[int, ...]:
         """Neighbour bitmasks: bit u of masks[v] is set when uv is an edge."""
         # One binary-digit row per vertex, parsed once: character -1 - u is bit u.
-        rows = [bytearray(b"0") * self.n for _ in range(self.n)]
+        n = self.n
+        if n <= _ALL_ROWS_MAX_N:  # every row at once, n^2 bytes: the fastest way
+            rows = [bytearray(b"0") * n for _ in range(n)]
+            for u, v in self.edges:
+                rows[u][-1 - v] = rows[v][-1 - u] = ord("1")
+            return tuple(int(row, 2) for row in rows)
+        # One row at a time from neighbour lists: no n^2 bytes besides the masks.
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
-            rows[u][-1 - v] = rows[v][-1 - u] = ord("1")
-        return tuple(int(row, 2) for row in rows)
+            nbrs[u].append(-1 - v)
+            nbrs[v].append(-1 - u)
+        zeros = b"0" * n
+        out = []
+        for chars in nbrs:
+            row = bytearray(zeros)
+            for c in chars:
+                row[c] = ord("1")
+            out.append(int(row, 2))
+        return tuple(out)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether uv is an edge; False for any id outside 0..n-1."""
@@ -134,9 +150,10 @@ def _parse_canonical(text: str) -> Graph | None:
     """
     if not text.endswith("\n"):
         text += "\n"
-    if _CANONICAL.fullmatch(text) is None:
+    seps = text.translate(_NO_DIGITS)
+    if seps != " \n" * (len(seps) // 2):  # one space per line, nothing but digits
         return None
-    try:
+    try:  # json refuses an empty token, so every line is "digits digits"
         nums = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
     except ValueError:  # a leading zero, or a token past int's digit limit
         return None

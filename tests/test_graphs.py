@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sigdim import Graph, GraphInputError, generate_exhaustive, generate_random, parse_graph
-from sigdim.graphs import (_parse_canonical, _parse_lines, count_min_degree_one, lowest,
-                           mask_of, members, sample_gnp)
+from sigdim.graphs import (_ALL_ROWS_MAX_N, _parse_canonical, _parse_lines, count_min_degree_one,
+                           lowest, mask_of, members, sample_gnp)
 
 
 def test_parse_single_edge():
@@ -151,6 +151,37 @@ def test_huge_header_rejected_without_allocating():
     assert peak < 1 << 20
 
 
+def _plain_masks(g):
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(masks)
+
+
+@pytest.mark.parametrize("n,p", [(_ALL_ROWS_MAX_N, 0.01), (_ALL_ROWS_MAX_N + 1, 0.01), (1500, 0.004)])
+def test_masks_agree_on_both_sides_of_the_row_at_a_time_switch(n, p):
+    g = generate_random(n, p, 5)
+    assert g.masks == _plain_masks(g)
+
+
+def test_isolated_check_on_a_large_sparse_graph_stays_below_n_squared_bytes():
+    # 2m >= n, so require_embeddable reads masks; building them one row at a
+    # time peaks near the masks' own size, not at n^2 = 16 MB of rows.
+    n = 4000
+    pairs = [(0, n - 2)] + [(v, v + 1) for v in range(0, n - 2, 2)]
+    text = f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        with pytest.raises(GraphInputError, match=f"^isolated vertex {n - 1}$"):
+            g.require_embeddable()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 4
+
+
 def test_has_edge_is_false_outside_the_vertex_range():
     # Loaded factor ids reach has_edge unchecked; masks[-1] would be vertex n-1's row.
     g = parse_graph("3 3\n0 1\n0 2\n1 2\n")
@@ -216,6 +247,14 @@ def _header_count(delta):
     return mutate
 
 
+def _shift_token(draw, lines, n):
+    """Moves a line's first token to the end of the line before it."""
+    if len(lines) >= 2:
+        i = draw(st.integers(1, len(lines) - 1))
+        first, _, lines[i] = lines[i].partition(" ")
+        lines[i - 1] += " " + first
+
+
 _ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 _MUTATIONS = [
     _line(lambda ln, n: [ln.replace(" ", "\t")]),                   # tab
@@ -228,6 +267,7 @@ _MUTATIONS = [
     _line(lambda ln, n: [" ".join(reversed(ln.split(" ")))]),       # u > v
     _line(lambda ln, n: [f"{ln.split(' ')[0]} {ln.split(' ')[0]}"]),  # self-loop
     _line(lambda ln, n: [ln + " 1"]),                               # three tokens
+    _shift_token,                                                   # three tokens, then one
     _token(lambda t, n: "0" + t),                                   # leading zero
     _token(lambda t, n: "+" + t),
     _token(lambda t, n: "-" + t),
@@ -271,6 +311,7 @@ def edge_list_texts(draw):
 @example("3 1\n0 1\n1 2")
 @example("3\n0 1")
 @example("3 1 1\n0 1")
+@example("4 2\n0 1 2\n3\n")
 @example("\n")
 @example("")
 @settings(max_examples=400, deadline=None)
@@ -281,8 +322,8 @@ def test_bulk_parse_matches_the_line_loop(text):
 
 
 def test_bulk_parse_allocates_less_than_the_line_loop():
-    # A backtracking regex would keep a stack of megabytes on this 120 KB text,
-    # more than the line loop's whole peak; the possessive one keeps none.
+    # A backtracking regex over the lines would keep a stack of megabytes on
+    # this 120 KB text, more than the line loop's whole peak.
     text = generate_random(200, 0.9, 13).serialize()
 
     def peak(parse):

@@ -195,8 +195,8 @@ def test_cli_import_defers_process_pools():
 
 def test_graphs_imports_only_what_cli_loads_anyway():
     # Reading a graph file must add no import to setup: graphs.py may import only
-    # modules that `import sigdim.cli` loads without it (json, and re through json
-    # and argparse).  Run with graphs.py stubbed out and list what got loaded.
+    # modules that `import sigdim.cli` loads without it (json, for one).  Run with
+    # graphs.py stubbed out and list what got loaded.
     src = Path(sigdim.__file__).parent
     script = ("import sys, types\n"
               "stub = types.ModuleType('sigdim.graphs')\n"
