@@ -112,6 +112,12 @@ FULL_GOLDENS = [
     # ATLAS1236: IV's triangle row for the other vertices.
     ("ATLAS1236", None, "3ec55ed87fec52c56435546751b1f1cf73658c49b85cad96454c9b8771760286"),
     ("ATLAS1236", Fraction(7, 3), "af23e132cf9cc9ff46bc1e65dcc4579f9965cabef131619588715f9e9fe427dc"),
+    # The benchmark's sizes: STARS200 has 66 class-VIII blocks and two class-I
+    # blocks; DENSE200 has 53 class-VIII, 10 class-VII, 3 class-IV and 1 class-III.
+    ("STARS200", None, "641aefa71b62fadfb3906afd9f07ebc9f1623df59f66d9919f7c8b60bee372ec"),
+    ("STARS200", Fraction(7, 3), "a16f0c944d78cd6d3f6486e596d4d83d5440c269c58532edd0b69168b25a3c07"),
+    ("DENSE200", None, "443895389f14e96bb01e9757fc4c1bf0d02e8023e9c5faa8f765b9ad4e7a6289"),
+    ("DENSE200", Fraction(7, 3), "392e43970fee51495bc1695a9639c5033c3b6f05064de57fa521c98058135088"),
 ]
 GOLDEN_GRAPHS = {
     "CLASS_V": lambda: parse_graph(CLASS_V),
@@ -133,6 +139,8 @@ GOLDEN_GRAPHS = {
     "ATLAS281": lambda: parse_graph(ATLAS281),
     "ATLAS418": lambda: parse_graph(ATLAS418),
     "ATLAS1236": lambda: parse_graph(ATLAS1236),
+    "STARS200": lambda: planted_stars(200, 5),
+    "DENSE200": lambda: generate_random(200, 9 / 10, 7),
 }
 
 
@@ -273,6 +281,23 @@ def test_case_tables_read_masks():
     assert calls == 0
 
 
+def test_embed_calls_assign_block_once_per_pick():
+    # perfbench times blocks by patching the module-level assign_block; embed
+    # must reach every block through that name.
+    g = planted_stars(60, 3)
+    calls = 0
+    assign = embedding.assign_block
+
+    def counted(ctx, k):
+        nonlocal calls
+        calls += 1
+        return assign(ctx, k)
+
+    with patch.object(embedding, "assign_block", counted):
+        emb = embed(g)
+    assert calls == emb.picks.count > 1
+
+
 def test_pick_and_star_masks_match_their_definitions(corpus5):
     # PickSequence.earlier and StarTriangleFactor.leaves/mates are the only
     # masks of pick order and star membership; they must agree with index_of()
@@ -326,6 +351,32 @@ _SIDE_TAIL = [((3, 4, 5), "VIII", 22, {})]
                          [((0, 1, 2), "VIII", 22, {}), ((3, 4, 5), "VIII", 22, {}),
                           ((6,), "I", 45, {})]),
      "VIII.near-b", 3, {"reason": "star center"}),
+    # Two vertices of one block match no row, under different tables: the
+    # diagnostic names the lower one.  Here q-side vertex 3 lies below outside vertex 6.
+    (lambda: _forged_ctx(8, [(0, 1), (1, 3), (0, 4), (2, 5), (2, 4), (6, 7)], {},
+                         [(0, 4), (1, 3), (2, 5), (6, 7)],
+                         [((0, 1, 2), "VII", 24, {"p": 0, "q": 1, "s": 2}), *_SIDE_TAIL,
+                          ((6, 7), "I", 45, {})]),
+     "VII.q-side", 3, {"adjacency": [False, False]}),
+    # The same graph relabelled: outside vertex 0 lies below q-side vertex 5.
+    (lambda: _forged_ctx(8, [(2, 3), (3, 5), (2, 6), (4, 7), (4, 6), (0, 1)], {},
+                         [(2, 6), (3, 5), (4, 7), (0, 1)],
+                         [((2, 3, 4), "VII", 24, {"p": 2, "q": 3, "s": 4}),
+                          ((5, 6, 7), "VIII", 22, {}), ((0, 1), "I", 45, {})]),
+     "VII.outside", 0, {"adjacency": [False, False, False]}),
+    # p = 1 and q = 2 are leaves of star 5, so its centre is in the pick's
+    # reach and matches no row; outside vertex 0 lies below it.
+    (lambda: _forged_ctx(7, [(1, 2), (1, 5), (2, 5), (3, 4), (0, 6)], {5: {1, 2}},
+                         [(3, 4), (0, 6)],
+                         [((1, 2, 3), "VII", 24, {"p": 1, "q": 2, "s": 3}),
+                          ((0, 4, 5, 6), "I", 45, {})]),
+     "VII.outside", 0, {"adjacency": [False, False, False]}),
+    # The same block with the star centre relabelled 0: it lies below outside vertex 5.
+    (lambda: _forged_ctx(7, [(1, 2), (0, 1), (0, 2), (3, 4), (5, 6)], {0: {1, 2}},
+                         [(3, 4), (5, 6)],
+                         [((1, 2, 3), "VII", 24, {"p": 1, "q": 2, "s": 3}),
+                          ((0, 4, 5, 6), "I", 45, {})]),
+     "VII", 0, {}),
 ])
 def test_unreachable_rows_keep_their_diagnostics(ctx, table, vertex, detail):
     with pytest.raises(PipelineError) as info:
