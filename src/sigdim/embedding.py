@@ -13,26 +13,34 @@ layout: ``block_dims`` derives it, and nothing else stores it.
 Within a block, *all* vertices of the graph receive coordinates from a case
 table keyed on pseudo-neighborhood membership, pick order relative to k, and
 adjacency to the group's members.  The tables are transcribed row for row.
-Adjacency and pick order are bitmasks (``Graph.masks``, and per block the
-vertices picked before k), and each adjacency choice is one lookup keyed by
-v's adjacency code to the group's roles.  Class VIII's c-side and class VII's
-q-side are written once, as mirrors of the a-side and the p-side: the two
-roles exchanged and the two coordinates swapped.  A vertex matching no row is
-a construction failure and raises a structured diagnostic instead of
-inventing a value.  Tables work in integer units of delta = r/(6n) (r = 6n,
-r(v) = 6n - 2m(v)); ``embed`` scales by delta once.
+Adjacency, pick order and pseudo-neighborhoods are bitmasks (``Graph.masks``,
+per block the vertices picked before k, and per vertex N(v), N2(v)).  A block
+is a list of columns, one per dimension, each holding all n values.  The
+named vertices (the group's roles and their pseudo-neighborhoods) get their
+rows one vertex at a time, each adjacency choice one lookup keyed by v's
+adjacency code to the roles.  Every other vertex is filled by mask: one
+table row covers a whole set of vertices.  Class VIII's c-side and class
+VII's q-side are written once, as mirrors of the a-side and the p-side: the
+two roles exchanged and the two coordinates swapped.  A vertex matching no
+row is a construction failure and raises a structured diagnostic instead of
+inventing a value; of several, it names the one the table's vertex-by-vertex
+walk meets first.  Tables work in integer
+units of delta = r/(6n) (r = 6n, r(v) = 6n - 2m(v)); ``embed`` scales every
+column by delta's numerator once and transposes the columns into points once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from typing import Any
+from operator import or_
+from typing import Any, Callable
 
 from .errors import PipelineError
 from .factor import StarTriangleFactor, star_triangle_factor, validate_factor
-from .graphs import Graph
+from .graphs import Graph, lowest, mask_of, members
 from .matching import maximum_matching
 from .picking import PickClass, PickedSet, PickSequence, pick_vertices, validate_picks
 from .pseudo import (PseudoNeighborhood, RadiusSchedule, build_pseudo,
@@ -110,8 +118,9 @@ def block_dims(picks: PickSequence) -> list[range]:
 
 
 class _Ctx:
-    """Shared lookups for the block builders: radii in delta units.  Star leaves
-    are ``f.leaves``, and the vertices picked before block k ``picks.earlier[k]``."""
+    """Shared lookups for the block builders: radii in delta units, and masks of
+    N(v), N2(v) and N(v) | N2(v) per vertex.  Star leaves are ``f.leaves``, and
+    the vertices picked before block k ``picks.earlier[k]``."""
 
     def __init__(self, g: Graph, f: StarTriangleFactor, picks: PickSequence,
                  pn: PseudoNeighborhood, sched: RadiusSchedule):
@@ -119,8 +128,18 @@ class _Ctx:
         self.f = f
         self.picks = picks
         self.pn = pn
+        self.full = (1 << g.n) - 1
         self.r = 6 * g.n
         self.rv = [self.r - 2 * sched.m[v] for v in range(g.n)]
+        self.half = [-x // 2 for x in self.rv]  # class VIII, outside and picked before k
+        self.n1 = [mask_of(pn.n1[v]) for v in range(g.n)]
+        # N2(v) is the union of N(u) over u in N(v).
+        self.n2 = [reduce(or_, map(self.n1.__getitem__, pn.n1[v]), 0) for v in range(g.n)]
+        self.related = list(map(or_, self.n1, self.n2))
+
+    def reach(self, vertices) -> int:
+        """N_k of a picked group, as a mask: the union of N(v) and N2(v) over the group."""
+        return reduce(or_, map(self.related.__getitem__, vertices))
 
     def unreachable(self, k: int, table: str, vertex: int, **extra: Any) -> PipelineError:
         return PipelineError(
@@ -138,26 +157,39 @@ def _bits(mask: int, *vertices: int) -> int:
     return code
 
 
+def _put(cols: list[list[int]], v: int, row: Vec) -> None:
+    for col, x in zip(cols, row):
+        col[v] = x
+
+
+def _fill(cols: list[list[int]], named: int, row: Callable[[int], Vec],
+          stray: int = 0, fail: Callable[[int], PipelineError] | None = None) -> list[list[int]]:
+    """Overwrite the bulk columns with row(v) for each named vertex v, in vertex
+    order.  The lowest stray vertex, one no row matches, then raises fail(v),
+    unless a named row below it raised first: the order of a walk over all v."""
+    below = (1 << lowest(stray)) - 1 if stray else -1  # -1: every vertex
+    for v in members(named & below):
+        _put(cols, v, row(v))
+    if stray:
+        raise fail(lowest(stray))
+    return cols
+
+
 # ---------------------------------------------------------------------------
 # class I: one dimension per picked vertex
 
-def _block_random(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
+def _block_random(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
     rv = ctx.rv
     columns = []
     for w in pick.vertices:
-        near, adj = ctx.pn.n1[w], ctx.g.masks[w]
-        col: dict[int, int] = {}
-        for v in range(ctx.g.n):
-            if v == w:
-                col[v] = -rv[w]
-            elif v in near:
-                col[v] = 0
-            elif adj >> v & 1:
-                col[v] = rv[v] - 1
-            else:
-                col[v] = rv[v]
+        col = rv[:]  # v neither w, nor in N(w), nor adjacent to w
+        for v in members(ctx.g.masks[w]):
+            col[v] -= 1
+        for v in members(ctx.n1[w]):
+            col[v] = 0
+        col[w] = -rv[w]
         columns.append(col)
-    return {v: tuple(col[v] for col in columns) for v in range(ctx.g.n)}
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -169,266 +201,226 @@ def _sign_vector(i: int, width: int) -> tuple[int, ...]:
     return tuple(-1 if bits >> (width - 1 - j) & 1 else 1 for j in range(width))
 
 
-def _block_residual(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
+def _block_residual(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
     rv = ctx.rv
-    members = list(pick.vertices)
-    m = len(members)
+    group = pick.vertices
+    m = len(group)
     width = ceil_log2(m + 1)
-    vec_of = {v: _sign_vector(i + 1, width) for i, v in enumerate(members)}
+    vec_of = {v: _sign_vector(i + 1, width) for i, v in enumerate(group)}
     outside_vec = _sign_vector(m + 1, width)
-    near = frozenset().union(*(ctx.pn.n1[v] for v in members))
-    second = frozenset().union(*(ctx.pn.n2[v] for v in members))
+    near = reduce(or_, map(ctx.n1.__getitem__, group))
+    second = reduce(or_, map(ctx.n2.__getitem__, group))
 
-    out: dict[int, Vec] = {}
-    for v in range(ctx.g.n):
+    def row(v: int) -> Vec:
         if v in vec_of:
-            out[v] = tuple(rv[v] * s for s in vec_of[v])
-        elif v in near:
-            out[v] = (0,) * width
-        elif v in second:
-            out[v] = tuple(rv[v] * s for s in outside_vec)
-        else:
-            out[v] = tuple((rv[v] - 1) * s for s in outside_vec)
-    return out
+            return tuple(rv[v] * s for s in vec_of[v])
+        if near >> v & 1:
+            return (0,) * width
+        return tuple(rv[v] * s for s in outside_vec)
+
+    # The bulk: v outside N(P) and N2(P).
+    cols = [[(x - 1) * s for x in rv] for s in outside_vec]
+    return _fill(cols, near | second | mask_of(group), row)
 
 
 # ---------------------------------------------------------------------------
 # class III: non-adjacent pair on one dimension
 
-def _block_pair(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
+def _block_pair(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
     rv = ctx.rv
     k = pick.k
     half = ctx.r // 2 - (k + 1)
     p, q = pick.roles["p"], pick.roles["q"]
-    p_side = ctx.pn.related(p) - {p}
-    q_side = ctx.pn.related(q) - {q}
-    out: dict[int, Vec] = {}
-    for v in range(ctx.g.n):
-        if v == p:
-            val = -rv[p] - half
-        elif v == q:
-            val = rv[q] + half
-        elif v in p_side:
-            if v in q_side:
-                raise ctx.unreachable(k, "III", v, reason="both sides")
-            val = -half
-        elif v in q_side:
-            val = half
-        else:
-            val = 0
-        out[v] = (val,)
-    return out
+    p_side = ctx.related[p] & ~(1 << p)
+    q_side = ctx.related[q] & ~(1 << q)
+    both = p_side & q_side & ~(1 << q)
+    if both:
+        raise ctx.unreachable(k, "III", lowest(both), reason="both sides")
+    col = [0] * ctx.g.n
+    for v in members(q_side):
+        col[v] = half
+    for v in members(p_side):
+        col[v] = -half
+    col[q] = rv[q] + half
+    col[p] = -rv[p] - half
+    return [col]
 
 
 # ---------------------------------------------------------------------------
 # class IV: triple inside the final clique
 
-def _block_clique(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
-    rv, r = ctx.rv, ctx.r
+def _block_clique(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
+    rv, r, n1, n = ctx.rv, ctx.r, ctx.n1, ctx.g.n
     k = pick.k
     trio = pick.vertices
     related_pairs = [
-        (a, b) for a, b in combinations(trio, 2) if b in ctx.pn.related(a)
+        (a, b) for a, b in combinations(trio, 2) if ctx.related[a] >> b & 1
     ]
 
-    out: dict[int, Vec] = {}
     if not related_pairs:
         # All three in distinct factor components.
         x = min(trio, key=lambda v: (-rv[v], v))
         y, z = sorted(set(trio) - {x})
-        for v in range(ctx.g.n):
+
+        def row(v: int) -> Vec:
             if v == x:
-                out[v] = (0, 0)
-            elif v == y:
-                out[v] = (0, r)
-            elif v == z:
-                out[v] = (r, 0)
-            elif v in ctx.pn.n1[x]:
-                out[v] = (rv[v], rv[v])
-            elif v in ctx.pn.n1[y]:
-                out[v] = (rv[v], r)
-            elif v in ctx.pn.n1[z]:
-                out[v] = (r, rv[v])
-            else:
-                out[v] = (r, r)
-    elif len(related_pairs) == 1:
+                return (0, 0)
+            if v == y:
+                return (0, r)
+            if v == z:
+                return (r, 0)
+            if n1[x] >> v & 1:
+                return (rv[v], rv[v])
+            if n1[y] >> v & 1:
+                return (rv[v], r)
+            return (r, rv[v])  # v in N(z)
+
+        return _fill([[r] * n, [r] * n], mask_of(trio) | n1[x] | n1[y] | n1[z], row)
+    if len(related_pairs) == 1:
         p_, q_ = related_pairs[0]
         (s_,) = (v for v in trio if v not in related_pairs[0])
-        n_pq = (ctx.pn.n1[p_] | ctx.pn.n1[q_]) - {p_, q_}
-        for v in range(ctx.g.n):
+        n_pq = (n1[p_] | n1[q_]) & ~(1 << p_ | 1 << q_)
+
+        def row(v: int) -> Vec:
             if v == p_:
-                out[v] = (0, r - rv[v])
-            elif v == q_:
-                out[v] = (0, r)
-            elif v == s_:
-                out[v] = (r, 0)
-            elif v in n_pq:
-                out[v] = (rv[v], r)
-            elif v in ctx.pn.n1[s_]:
-                out[v] = (r, rv[v])
-            else:
-                out[v] = (r, r)
-    elif len(related_pairs) == 3:
+                return (0, r - rv[v])
+            if v == q_:
+                return (0, r)
+            if v == s_:
+                return (r, 0)
+            if n_pq >> v & 1:
+                return (rv[v], r)
+            return (r, rv[v])  # v in N(s)
+
+        return _fill([[r] * n, [r] * n], mask_of(trio) | n_pq | n1[s_], row)
+    if len(related_pairs) == 3:
         if tuple(sorted(trio)) not in ctx.f.triangles:
             raise ctx.unreachable(k, "IV", trio[0], reason="related but not a triangle")
         p_, q_, s_ = sorted(trio)
-        for v in range(ctx.g.n):
-            if v == p_:
-                out[v] = (-rv[v], 0)
-            elif v == q_:
-                out[v] = (-rv[v], -rv[v])
-            elif v == s_:
-                out[v] = (0, -rv[v])
-            else:
-                out[v] = (rv[v] - 1, rv[v] - 1)
-    else:
-        raise ctx.unreachable(k, "IV", trio[0], reason="two related pairs")
-    return out
+        cols = [[x - 1 for x in rv], [x - 1 for x in rv]]
+        _put(cols, p_, (-rv[p_], 0))
+        _put(cols, q_, (-rv[q_], -rv[q_]))
+        _put(cols, s_, (0, -rv[s_]))
+        return cols
+    raise ctx.unreachable(k, "IV", trio[0], reason="two related pairs")
 
 
 # ---------------------------------------------------------------------------
 # class V: outside vertex + two leaves of the last star
 
-def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
+def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
     rv = ctx.rv
     k = pick.k
     half = ctx.r // 2 - (k + 1)
     v0, w1, w2, w = (pick.roles[r_] for r_ in ("v0", "w1", "w2", "w"))
-    star = ctx.pn.n1[w]  # the leaf set
-    v0_side = ctx.pn.related(v0) - {v0}
-    reach = ctx.pn.reach(pick.vertices)
+    star = ctx.n1[w]  # the leaf set
+    v0_side = ctx.related[v0] & ~(1 << v0)
     early_or_v0 = ctx.picks.earlier[k] | ctx.g.masks[v0]
 
-    out: dict[int, Vec] = {}
-    for v in range(ctx.g.n):
+    def row(v: int) -> Vec:
         if v == w1:
-            out[v] = (-rv[w] - half, rv[w])
-        elif v == w2:
-            out[v] = (-rv[w] - half, -rv[w])
-        elif v == v0:
-            out[v] = (rv[v0] + half, rv[v0])
-        elif v == w:
-            out[v] = (-half, 0)
-        elif v in star:
+            return (-rv[w] - half, rv[w])
+        if v == w2:
+            return (-rv[w] - half, -rv[w])
+        if v == v0:
+            return (rv[v0] + half, rv[v0])
+        if v == w:
+            return (-half, 0)
+        if star >> v & 1:
             if early_or_v0 >> v & 1:
-                out[v] = (rv[w] - half, -rv[w] + 1)
-            else:
-                out[v] = (rv[w] - half, -rv[w])
-        elif v in v0_side:
-            out[v] = (half, 0)
-        elif v not in reach:
-            out[v] = (rv[v] - half - 1, -rv[v] + 1)
-        else:
-            raise ctx.unreachable(k, "V", v)
-    return out
+                return (rv[w] - half, -rv[w] + 1)
+            return (rv[w] - half, -rv[w])
+        return (half, 0)  # v in v0's component
+
+    named = mask_of((v0, w1, w2, w)) | star | v0_side
+    # The bulk: v outside the pick's reach.
+    cols = [[x - half - 1 for x in rv], [1 - x for x in rv]]
+    return _fill(cols, named, row, ctx.reach(pick.vertices) & ~named,
+                 lambda v: ctx.unreachable(k, "V", v))
 
 
 # ---------------------------------------------------------------------------
 # class VI: leaf + adjacent outside pair (exactly two edges)
 
-def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
+def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
     rv = ctx.rv
     k = pick.k
     r = ctx.r
     half = r // 2 - (k + 1)
     w0, v1, v2, w = (pick.roles[r_] for r_ in ("w0", "v1", "v2", "w"))
-    star = ctx.pn.n2[w0]  # = the whole leaf set of w's star
-    v1_side = ctx.pn.related(v1) - {v1}
-    v2_side = ctx.pn.related(v2) - {v2}
-    reach = ctx.pn.reach(pick.vertices)
-    subcase_b = v2 in ctx.pn.related(v1)
+    star = ctx.n2[w0]  # = the whole leaf set of w's star
+    v1_side = ctx.related[v1] & ~(1 << v1)
+    v2_side = ctx.related[v2] & ~(1 << v2)
+    subcase_b = ctx.related[v1] >> v2 & 1
     early, adj = ctx.picks.earlier[k], ctx.g.masks
     early_or_v1 = early | adj[v1]
 
-    out: dict[int, Vec] = {}
-    for v in range(ctx.g.n):
+    def row(v: int) -> Vec:
         if v == w0:
-            out[v] = (rv[w0] - 1, rv[w0] + half)
-        elif v == v1:
+            return (rv[w0] - 1, rv[w0] + half)
+        if v == v1:
             if subcase_b:
-                out[v] = (-rv[v1], -half)
-            else:
-                out[v] = (-rv[v1], rv[v1] - half - 1)
-        elif v == v2:
+                return (-rv[v1], -half)
+            return (-rv[v1], rv[v1] - half - 1)
+        if v == v2:
             if subcase_b:
-                out[v] = (-rv[v2] + 1, -rv[v2] - half)
-            else:
-                out[v] = (rv[v2] - 1, -rv[v2] - half)
-        elif v == w:
+                return (-rv[v2] + 1, -rv[v2] - half)
+            return (rv[v2] - 1, -rv[v2] - half)
+        if v == w:
             # the star center, always picked before this block
             if not early >> v & 1:
                 raise ctx.unreachable(k, "VI", v, reason="center picked late")
             if subcase_b:
-                out[v] = (rv[v] - 1, half)
-            else:
-                out[v] = (r - 2 * (k + 1), half)
-        elif v in star:
+                return (rv[v] - 1, half)
+            return (r - 2 * (k + 1), half)
+        if star >> v & 1:
             if subcase_b:
                 if early >> v & 1:
-                    out[v] = (rv[v] - 1, -rv[v] + half)
-                elif adj[v2] >> v & 1:
-                    out[v] = (rv[v] - 1, half)
-                else:
-                    out[v] = (rv[v], half)
-            else:
-                if early >> v & 1:
-                    out[v] = (-rv[v] + r - 2 * (k + 1), -rv[v] + half)
-                elif adj[v1] >> v & 1:
-                    out[v] = (rv[v] - 1, half)
-                else:
-                    out[v] = (rv[v], half)
-        elif v in v1_side or (subcase_b and v in v2_side):
-            if subcase_b:
-                out[v] = (0, -half)
-            else:
-                out[v] = (0, 0)
-        elif v in v2_side:
-            # subcase a only: v2's own component
-            if early_or_v1 >> v & 1:
-                out[v] = (rv[v] - 1, -half)
-            else:
-                out[v] = (rv[v], -half)
-        elif v not in reach:
-            if subcase_b:
-                out[v] = (rv[v] - 1, 0) if early >> v & 1 else (rv[v], 0)
-            else:
-                if early_or_v1 >> v & 1:
-                    out[v] = (rv[v] - 1, 0)
-                else:
-                    out[v] = (rv[v], 0)
-        else:
-            raise ctx.unreachable(k, "VI", v)
-    return out
+                    return (rv[v] - 1, -rv[v] + half)
+                if adj[v2] >> v & 1:
+                    return (rv[v] - 1, half)
+                return (rv[v], half)
+            if early >> v & 1:
+                return (-rv[v] + r - 2 * (k + 1), -rv[v] + half)
+            if adj[v1] >> v & 1:
+                return (rv[v] - 1, half)
+            return (rv[v], half)
+        if subcase_b:
+            return (0, -half)  # v in v1's or v2's component
+        if v1_side >> v & 1:
+            return (0, 0)
+        # subcase a only: v2's own component
+        if early_or_v1 >> v & 1:
+            return (rv[v] - 1, -half)
+        return (rv[v], -half)
+
+    named = mask_of((w0, v1, v2, w)) | star | v1_side | v2_side
+    # The bulk: v outside the pick's reach.
+    col = rv[:]
+    for v in members((early if subcase_b else early_or_v1) & ~named):
+        col[v] -= 1
+    return _fill([col, [0] * ctx.g.n], named, row, ctx.reach(pick.vertices) & ~named,
+                 lambda v: ctx.unreachable(k, "VI", v))
 
 
 # ---------------------------------------------------------------------------
 # class VII: triple with exactly one edge
 
-# v outside the pick's reach, not picked before k: rows of y = -r(v),
-# x = base + r(v) and h = mhalf, by (v ~ p, v ~ q, v ~ s); None: no row.
-_ONE_EDGE_OUTSIDE = (
-    None, lambda y, x, h: (x, x),
-    None, lambda y, x, h: (x, h),
-    None, lambda y, x, h: (h, x),
-    lambda y, x, h: (y, y), lambda y, x, h: (h, h),
-)
-
-
-def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
+def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
     rv, adj, leaves = ctx.rv, ctx.g.masks, ctx.f.leaves
     k = pick.k
     early = ctx.picks.earlier[k]
     base = -ctx.r + 2 * (k + 1)
     mhalf = -ctx.r // 2 + (k + 1)
     p, q, s = (pick.roles[r_] for r_ in ("p", "q", "s"))
-    close = p in ctx.pn.related(q)  # p,q share a factor component
+    close = ctx.related[q] >> p & 1  # p,q share a factor component
 
     tk = None
     for tri in ctx.f.triangles:
         if p in tri and q in tri:
             (tk,) = (v for v in tri if v not in (p, q))
-    reach = ctx.pn.reach(pick.vertices)
-    s_side, p_side, q_side = (ctx.pn.related(x) for x in (s, p, q))
+    reach = ctx.reach(pick.vertices)
+    s_side, p_side, q_side = (ctx.related[x] for x in (s, p, q))
     xs = base + rv[s]
     s_leaf = (xs - 1, -rv[s]) if close else (-rv[s], -rv[s])
 
@@ -436,7 +428,7 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
         # Written for p's side (x = p, y = q) when p and q are far apart;
         # q's side is its mirror image.
         if early >> v & 1:
-            row = (base + rv[x], mhalf) if v in ctx.pn.n2[x] and leaves >> v & 1 else (base, 0)
+            row = (base + rv[x], mhalf) if (ctx.n2[x] & leaves) >> v & 1 else (base, 0)
         else:
             code = _bits(adj[v], y, s)
             if not code:
@@ -445,50 +437,60 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
             row = (None, (base, base + rv[x]), (-rv[x], 0), (base, 0))[code]
         return row if x == p else row[::-1]
 
-    def outsider(v: int) -> Vec:
-        if early >> v & 1:
-            return (mhalf, mhalf)
-        code = _bits(adj[v], p, q, s)
-        row = _ONE_EDGE_OUTSIDE[code]
-        if row is None:
-            raise ctx.unreachable(k, "VII.outside", v,
-                                  adjacency=tuple(bool(code >> i & 1) for i in (2, 1, 0)))
-        return row(-rv[v], base + rv[v], mhalf)
-
-    out: dict[int, Vec] = {}
-    for v in range(ctx.g.n):
+    def row(v: int) -> Vec:
         if v == p:
             if close:
-                out[v] = (base - rv[p], base)
-            else:
-                out[v] = (base - rv[p], base + rv[p] - 1)
-        elif v == q:
+                return (base - rv[p], base)
+            return (base - rv[p], base + rv[p] - 1)
+        if v == q:
             if close:
-                out[v] = (base - 1, base - rv[q])
-            else:
-                out[v] = (base + rv[q] - 1, base - rv[q])
-        elif v == s:
-            out[v] = (rv[s], rv[s])
-        elif close and v == tk:
+                return (base - 1, base - rv[q])
+            return (base + rv[q] - 1, base - rv[q])
+        if v == s:
+            return (rv[s], rv[s])
+        if v == tk:
             if (early | adj[s]) >> v & 1:
-                out[v] = (base, base)
-            else:
-                out[v] = (-rv[v], -rv[v])
-        elif v in s_side:
+                return (base, base)
+            return (-rv[v], -rv[v])
+        if s_side >> v & 1:
             if early >> v & 1:
-                out[v] = s_leaf if v in ctx.pn.n2[s] and leaves >> v & 1 else (0, 0)
-            else:
-                # by (v ~ p, v ~ q)
-                out[v] = ((xs, xs), (xs, 0), (0, xs), (0, 0))[_bits(adj[v], p, q)]
-        elif not close and v in p_side:
-            out[v] = side(v, p, q, "VII.p-side")
-        elif not close and v in q_side:
-            out[v] = side(v, q, p, "VII.q-side")
-        elif v not in reach:
-            out[v] = outsider(v)
-        else:
-            raise ctx.unreachable(k, "VII", v)
-    return out
+                return s_leaf if (ctx.n2[s] & leaves) >> v & 1 else (0, 0)
+            # by (v ~ p, v ~ q)
+            return ((xs, xs), (xs, 0), (0, xs), (0, 0))[_bits(adj[v], p, q)]
+        if p_side >> v & 1:
+            return side(v, p, q, "VII.p-side")
+        return side(v, q, p, "VII.q-side")
+
+    named = mask_of((p, q, s)) | s_side
+    if not close:
+        named |= p_side | q_side
+    elif tk is not None:  # p, q and tk are a factor triangle
+        named |= 1 << tk
+    # The bulk: v outside the pick's reach.  If picked before k, v takes mhalf;
+    # else, by (v ~ p, v ~ q, v ~ s), base + r(v) where v ~ s but not the
+    # column's own role (p, then q), -r(v) where v ~ p, q but not s, and mhalf
+    # where v ~ s and the column's role.
+    late = ctx.full & ~(early | reach)
+    p_adj, q_adj, s_adj = (adj[x] & late for x in (p, q, s))
+    pq_only = p_adj & q_adj & ~s_adj
+    cols = [[mhalf] * ctx.g.n, [mhalf] * ctx.g.n]
+    for col, own in zip(cols, (p_adj, q_adj)):
+        for v in members(s_adj & ~own):
+            col[v] = base + rv[v]
+        for v in members(pq_only):
+            col[v] = -rv[v]
+
+    def fail(v: int) -> PipelineError:
+        if reach >> v & 1:
+            return ctx.unreachable(k, "VII", v)
+        code = _bits(adj[v], p, q, s)
+        return ctx.unreachable(k, "VII.outside", v,
+                               adjacency=tuple(bool(code >> i & 1) for i in (2, 1, 0)))
+
+    # v in the reach but not named, or late, outside it, and adjacent to neither
+    # s nor both of p, q, matches no row.
+    stray = reach & ~named | late & ~s_adj & ~(p_adj & q_adj)
+    return _fill(cols, named, row, stray, fail)
 
 
 # ---------------------------------------------------------------------------
@@ -505,24 +507,14 @@ def _super_roles(ctx: _Ctx, pick: PickedSet) -> tuple[int, int, int]:
     return a, b, c
 
 
-# v outside the pick's reach, not picked before k: rows of y = -r(v) and
-# x = base + r(v), by (v ~ a, v ~ b, v ~ c).
-_SUPER_OUTSIDE = (
-    lambda y, x: (y, y), lambda y, x: (y + 1, y),
-    lambda y, x: (x, x), lambda y, x: (x, y + 2),
-    lambda y, x: (y, y + 1), lambda y, x: (y + 1, y + 1),
-    lambda y, x: (y + 2, x), lambda y, x: (y + 2, y + 2),
-)
-
-
-def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
+def _block_super(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
     rv, adj = ctx.rv, ctx.g.masks
     k = pick.k
     early = ctx.picks.earlier[k]
     base = -ctx.r + 2 * (k + 1)
     mhalf = -ctx.r // 2 + (k + 1)
     a, b, c = _super_roles(ctx, pick)
-    reach = ctx.pn.reach(pick.vertices)
+    reach = ctx.reach(pick.vertices)
     xb = base + rv[b]
     # a's rows are written out; c's are their mirror image: a and c exchanged,
     # the two coordinates swapped.
@@ -561,6 +553,8 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
             raise ctx.unreachable(k, "VIII.second-b", v, link_value=link)
         return row
 
+    # The rows of the pick's reach, which they cover exactly: the roles, then
+    # N(x) and N2(x) for each role x.
     out: dict[int, Vec] = {x: oriented(x, (base - rv[x], rv[x])) for x in (a, c)}
     out[b] = (1 + rv[b], 1 + rv[b])
     for x in (a, b, c):
@@ -573,16 +567,25 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> dict[int, Vec]:
             else:
                 out[v] = near(x, v, guard_central=False)
 
-    for v in range(ctx.g.n):
-        if v in out:
-            continue
-        if v in reach:
-            raise ctx.unreachable(k, "VIII", v)
-        if early >> v & 1:
-            out[v] = (-rv[v] // 2, -rv[v] // 2)
-            continue
-        out[v] = _SUPER_OUTSIDE[_bits(adj[v], a, b, c)](-rv[v], base + rv[v])
-    return out
+    # The bulk: v outside the reach takes -r(v)/2 if picked before k, and else
+    # a row of y = -r(v) and x = base + r(v) by its adjacency to a, b and c.
+    # Column 0 is written for a, column 1 is its mirror for c.
+    cols = [ctx.half[:], ctx.half[:]]
+    late = ctx.full & ~(early | reach)
+    b_adj = adj[b] & late
+    for col, own, far in ((cols[0], adj[a], adj[c]), (cols[1], adj[c], adj[a])):
+        for v in members(late & ~b_adj & ~far):
+            col[v] = -rv[v]
+        for v in members(late & ~b_adj & far):
+            col[v] = 1 - rv[v]
+        for v in members(b_adj & ~own):
+            col[v] = base + rv[v]
+        for v in members(b_adj & own):
+            col[v] = 2 - rv[v]
+    col0, col1 = cols
+    for v, (x0, x1) in out.items():
+        col0[v], col1[v] = x0, x1
+    return cols
 
 
 _BUILDERS = {
@@ -597,16 +600,10 @@ _BUILDERS = {
 }
 
 
-def assign_block(ctx: _Ctx, k: int) -> dict[int, Vec]:
-    """Block k's columns: each vertex's coordinates there, in delta units."""
+def assign_block(ctx: _Ctx, k: int) -> list[list[int]]:
+    """Block k's columns, one per dimension: every vertex's coordinate there, in delta units."""
     pick = ctx.picks.picks[k]
-    values = _BUILDERS[pick.cls](ctx, pick)
-    width = block_width(pick.cls, len(pick.vertices))
-    missing = [v for v in range(ctx.g.n) if len(values.get(v, ())) != width]
-    if missing:
-        raise PipelineError("embedder", f"block {k} left vertices {missing} without "
-                            f"a {width}-dimensional value", k=k, vertices=missing)
-    return values
+    return _BUILDERS[pick.cls](ctx, pick)
 
 
 def check_accounting(g: Graph, picks: PickSequence) -> None:
@@ -644,17 +641,13 @@ def embed(g: Graph, r: int | Fraction | None = None) -> Embedding:
     validate_schedule(f, pn, picks, sched)
 
     ctx = _Ctx(g, f, picks, pn, sched)
-    rows: list[list[int]] = [[] for _ in range(g.n)]
-    for k in range(picks.count):
-        values = assign_block(ctx, k)
-        for v, row in enumerate(rows):
-            row.extend(values[v])
+    cols = [col for k in range(picks.count) for col in assign_block(ctx, k)]
 
-    d = len(rows[0])
+    d = len(cols)
     limit = dimension_bound(g.n)[0]
     if d > limit:
         raise PipelineError("embedder", f"dimension {d} exceeds bound {limit}",
                             d=d, bound=limit)
     num, den = sched.delta.numerator, sched.delta.denominator
-    grid = tuple(tuple(x * num for x in row) for row in rows)
+    grid = tuple(zip(*[list(map(num.__mul__, col)) for col in cols]))
     return Embedding(g, f, picks, pn, sched, PointSet(d, grid, den))

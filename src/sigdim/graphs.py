@@ -217,13 +217,6 @@ def generate_exhaustive(n: int) -> Iterator[Graph]:
             yield Graph(n, frozenset(edges))
 
 
-def count_min_degree_one(n: int) -> int:
-    """Inclusion-exclusion count of labeled graphs with min degree >= 1."""
-    from math import comb
-
-    return sum((-1) ** k * comb(n, k) * 2 ** comb(n - k, 2) for k in range(n + 1))
-
-
 def sample_gnp(n: int, p, seed: int) -> tuple[Graph, tuple[Edge, ...]]:
     """G(n,p) sample with isolated vertices repaired; returns (graph, repairs).
 

@@ -3,7 +3,7 @@
 Bipartite-only methods are not enough here: pipeline inputs are arbitrary
 graphs.  The search is deterministic - vertices and neighbor lists are
 scanned in increasing index order - so the same graph always yields the same
-matching.  ``brute_force_matching`` is the independent oracle for tests.
+matching.
 """
 
 from __future__ import annotations
@@ -136,26 +136,3 @@ def _augment_from(masks: tuple[int, ...], mate: list[int], root: int,
     for v in parented:
         parent[v] = -1
 
-
-def brute_force_matching(g: Graph) -> int:
-    """Maximum matching size by exhaustive search; oracle for small graphs."""
-    if g.n > 12:
-        raise ValueError(f"brute force limited to n <= 12, got {g.n}")
-    masks, n = g.masks, g.n
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(v: int, used: int) -> int:
-        while v < n and used >> v & 1:
-            v += 1
-        if v >= n:
-            return 0
-        key = (v, used)
-        if key in memo:
-            return memo[key]
-        best = rec(v + 1, used)  # leave v unmatched
-        for u in members(masks[v] & ~used):
-            best = max(best, 1 + rec(v + 1, used | 1 << v | 1 << u))
-        memo[key] = best
-        return best
-
-    return rec(0, 0)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from sigdim import (brute_force_matching, compute_sig, dimension_bound, embed,
+from sigdim import (compute_sig, dimension_bound, embed,
                     generate_exhaustive, generate_random, maximum_matching,
                     oracle_embed_2ia, parse_graph, star_triangle_factor,
                     validate_factor, verify)
@@ -29,6 +29,7 @@ from sigdim.cli import _shrink
 from sigdim.embedding import check_accounting
 from sigdim.sig import PointSet
 from conftest import C3, K2, K13, TWO_K2
+from oracles import brute_force_matching
 
 MAX_N = 6
 COHORT_PS = (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(4, 5))
