@@ -567,22 +567,24 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
             else:
                 out[v] = near(x, v, guard_central=False)
 
-    # The bulk: v outside the reach takes -r(v)/2 if picked before k, and else
-    # a row of y = -r(v) and x = base + r(v) by its adjacency to a, b and c.
-    # Column 0 is written for a, column 1 is its mirror for c.
+    # The bulk: v outside the reach takes -r(v)/2 if picked before k; else,
+    # with y = -r(v) and x = base + r(v), by its adjacency to a, b and c:
+    #   v not ~ b:  y, or y + 1 where v ~ the column's far end;
+    #   v ~ b:      y + 2, or x where v is not ~ the column's own end.
+    # Column 0 is written for a (far end c), column 1 is its mirror for c.
     cols = [ctx.half[:], ctx.half[:]]
+    col0, col1 = cols
     late = ctx.full & ~(early | reach)
     b_adj = adj[b] & late
-    for col, own, far in ((cols[0], adj[a], adj[c]), (cols[1], adj[c], adj[a])):
-        for v in members(late & ~b_adj & ~far):
-            col[v] = -rv[v]
+    for v in members(late & ~b_adj):
+        col0[v] = col1[v] = -rv[v]
+    for v in members(b_adj):
+        col0[v] = col1[v] = 2 - rv[v]
+    for col, own, far in ((col0, adj[a], adj[c]), (col1, adj[c], adj[a])):
         for v in members(late & ~b_adj & far):
-            col[v] = 1 - rv[v]
+            col[v] += 1
         for v in members(b_adj & ~own):
             col[v] = base + rv[v]
-        for v in members(b_adj & own):
-            col[v] = 2 - rv[v]
-    col0, col1 = cols
     for v, (x0, x1) in out.items():
         col0[v], col1[v] = x0, x1
     return cols
