@@ -24,9 +24,9 @@ VII's q-side are written once, as mirrors of the a-side and the p-side: the
 two roles exchanged and the two coordinates swapped.  A vertex matching no
 row is a construction failure and raises a structured diagnostic instead of
 inventing a value; of several, it names the one the table's vertex-by-vertex
-walk meets first.  Tables work in integer
-units of delta = r/(6n) (r = 6n, r(v) = 6n - 2m(v)); ``embed`` scales every
-column by delta's numerator once and transposes the columns into points once.
+walk meets first.  Tables work in integer units of delta = r/(6n) (r = 6n,
+r(v) = 6n - 2m(v)); ``embed`` scales every column by delta's numerator once
+and transposes the columns into points once.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .rationals import ceil_log2, rat_to_json
 from .sig import PointSet
 
 Vec = tuple[int, ...]
+Columns = list[list[int]]  # a block: one list of n values per dimension
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,13 @@ def _bits(mask: int, *vertices: int) -> int:
     return code
 
 
-def _put(cols: list[list[int]], v: int, row: Vec) -> None:
+def _put(cols: Columns, v: int, row: Vec) -> None:
     for col, x in zip(cols, row):
         col[v] = x
 
 
-def _fill(cols: list[list[int]], named: int, row: Callable[[int], Vec],
-          stray: int = 0, fail: Callable[[int], PipelineError] | None = None) -> list[list[int]]:
+def _fill(cols: Columns, named: int, row: Callable[[int], Vec],
+          stray: int = 0, fail: Callable[[int], PipelineError] | None = None) -> Columns:
     """Overwrite the bulk columns with row(v) for each named vertex v, in vertex
     order.  The lowest stray vertex, one no row matches, then raises fail(v),
     unless a named row below it raised first: the order of a walk over all v."""
@@ -178,7 +179,7 @@ def _fill(cols: list[list[int]], named: int, row: Callable[[int], Vec],
 # ---------------------------------------------------------------------------
 # class I: one dimension per picked vertex
 
-def _block_random(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
+def _block_random(ctx: _Ctx, pick: PickedSet) -> Columns:
     rv = ctx.rv
     columns = []
     for w in pick.vertices:
@@ -201,7 +202,7 @@ def _sign_vector(i: int, width: int) -> tuple[int, ...]:
     return tuple(-1 if bits >> (width - 1 - j) & 1 else 1 for j in range(width))
 
 
-def _block_residual(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
+def _block_residual(ctx: _Ctx, pick: PickedSet) -> Columns:
     rv = ctx.rv
     group = pick.vertices
     m = len(group)
@@ -226,7 +227,7 @@ def _block_residual(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # class III: non-adjacent pair on one dimension
 
-def _block_pair(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
+def _block_pair(ctx: _Ctx, pick: PickedSet) -> Columns:
     rv = ctx.rv
     k = pick.k
     half = ctx.r // 2 - (k + 1)
@@ -249,7 +250,7 @@ def _block_pair(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # class IV: triple inside the final clique
 
-def _block_clique(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
+def _block_clique(ctx: _Ctx, pick: PickedSet) -> Columns:
     rv, r, n1, n = ctx.rv, ctx.r, ctx.n1, ctx.g.n
     k = pick.k
     trio = pick.vertices
@@ -308,7 +309,7 @@ def _block_clique(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # class V: outside vertex + two leaves of the last star
 
-def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
+def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> Columns:
     rv = ctx.rv
     k = pick.k
     half = ctx.r // 2 - (k + 1)
@@ -342,7 +343,7 @@ def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # class VI: leaf + adjacent outside pair (exactly two edges)
 
-def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
+def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> Columns:
     rv = ctx.rv
     k = pick.k
     r = ctx.r
@@ -406,7 +407,7 @@ def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # class VII: triple with exactly one edge
 
-def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
+def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> Columns:
     rv, adj, leaves = ctx.rv, ctx.g.masks, ctx.f.leaves
     k = pick.k
     early = ctx.picks.earlier[k]
@@ -507,7 +508,7 @@ def _super_roles(ctx: _Ctx, pick: PickedSet) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _block_super(ctx: _Ctx, pick: PickedSet) -> list[list[int]]:
+def _block_super(ctx: _Ctx, pick: PickedSet) -> Columns:
     rv, adj = ctx.rv, ctx.g.masks
     k = pick.k
     early = ctx.picks.earlier[k]
@@ -602,7 +603,7 @@ _BUILDERS = {
 }
 
 
-def assign_block(ctx: _Ctx, k: int) -> list[list[int]]:
+def assign_block(ctx: _Ctx, k: int) -> Columns:
     """Block k's columns, one per dimension: every vertex's coordinate there, in delta units."""
     pick = ctx.picks.picks[k]
     return _BUILDERS[pick.cls](ctx, pick)
@@ -651,5 +652,7 @@ def embed(g: Graph, r: int | Fraction | None = None) -> Embedding:
         raise PipelineError("embedder", f"dimension {d} exceeds bound {limit}",
                             d=d, bound=limit)
     num, den = sched.delta.numerator, sched.delta.denominator
-    grid = tuple(zip(*[list(map(num.__mul__, col)) for col in cols]))
+    for col in cols:  # in place: the grid's rows then share the scaled ints
+        col[:] = map(num.__mul__, col)
+    grid = tuple(zip(*cols))
     return Embedding(g, f, picks, pn, sched, PointSet(d, grid, den))
