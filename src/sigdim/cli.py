@@ -194,11 +194,11 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
                   _roles(p["roles"], g.n))
         for k, p in enumerate(trace["picks"])
     ))
-    pn = build_pseudo(factor, picks)
     picked = sorted(v for p in picks.picks for v in p.vertices)
     if picked != list(range(g.n)) or not all(p.vertices for p in picks.picks):
         raise ValueError("trace.picks must partition the vertices into non-empty sets")
     validate_factor(g, factor)
+    pn = build_pseudo(factor, picks)
     _ints([p.step for p in picks.picks], "pick steps")
     if sum(map(len, block_dims(picks))) != points.d:
         raise ValueError(f"the block widths must sum to the coordinate width {points.d}")

@@ -119,35 +119,21 @@ def block_dims(picks: PickSequence) -> list[range]:
 
 
 class _Ctx:
-    """Shared lookups for the block builders: radii in delta units, and masks of
-    N(v), N2(v) and N(v) | N2(v) per vertex.  Star leaves are ``f.leaves``, and
-    the vertices picked before block k ``picks.earlier[k]``."""
+    """Shared lookups for the block builders: radii in delta units.  N(v), N2(v)
+    and N(v) | N2(v) are the masks ``pn.near``, ``pn.second`` and ``pn.related``,
+    star leaves ``f.leaves``, and the vertices picked before block k ``picks.earlier[k]``."""
 
     def __init__(self, g: Graph, f: StarTriangleFactor, picks: PickSequence,
                  pn: PseudoNeighborhood, sched: RadiusSchedule):
-        self.g = g
-        self.f = f
-        self.picks = picks
-        self.pn = pn
+        self.g, self.f, self.picks, self.pn = g, f, picks, pn
         self.full = (1 << g.n) - 1
         self.r = 6 * g.n
         self.rv = [self.r - 2 * sched.m[v] for v in range(g.n)]
         self.half = [-x // 2 for x in self.rv]  # class VIII, outside and picked before k
-        self.n1 = [mask_of(pn.n1[v]) for v in range(g.n)]
-        # N2(v) is the union of N(u) over u in N(v).
-        self.n2 = [reduce(or_, map(self.n1.__getitem__, pn.n1[v]), 0) for v in range(g.n)]
-        self.related = list(map(or_, self.n1, self.n2))
-
-    def reach(self, vertices) -> int:
-        """N_k of a picked group, as a mask: the union of N(v) and N2(v) over the group."""
-        return reduce(or_, map(self.related.__getitem__, vertices))
 
     def unreachable(self, k: int, table: str, vertex: int, **extra: Any) -> PipelineError:
-        return PipelineError(
-            "embedder",
-            f"block {k}, table {table}: no row matches vertex {vertex}",
-            k=k, table=table, vertex=vertex, **extra,
-        )
+        return PipelineError("embedder", f"block {k}, table {table}: no row matches vertex {vertex}",
+                             k=k, table=table, vertex=vertex, **extra)
 
 
 def _bits(mask: int, *vertices: int) -> int:
@@ -186,7 +172,7 @@ def _block_random(ctx: _Ctx, pick: PickedSet) -> Columns:
         col = rv[:]  # v neither w, nor in N(w), nor adjacent to w
         for v in members(ctx.g.masks[w]):
             col[v] -= 1
-        for v in members(ctx.n1[w]):
+        for v in members(ctx.pn.near[w]):
             col[v] = 0
         col[w] = -rv[w]
         columns.append(col)
@@ -209,8 +195,7 @@ def _block_residual(ctx: _Ctx, pick: PickedSet) -> Columns:
     width = ceil_log2(m + 1)
     vec_of = {v: _sign_vector(i + 1, width) for i, v in enumerate(group)}
     outside_vec = _sign_vector(m + 1, width)
-    near = reduce(or_, map(ctx.n1.__getitem__, group))
-    second = reduce(or_, map(ctx.n2.__getitem__, group))
+    near = reduce(or_, map(ctx.pn.near.__getitem__, group))
 
     def row(v: int) -> Vec:
         if v in vec_of:
@@ -219,9 +204,9 @@ def _block_residual(ctx: _Ctx, pick: PickedSet) -> Columns:
             return (0,) * width
         return tuple(rv[v] * s for s in outside_vec)
 
-    # The bulk: v outside N(P) and N2(P).
+    # The bulk: v outside N(P) and N2(P), which hold P itself.
     cols = [[(x - 1) * s for x in rv] for s in outside_vec]
-    return _fill(cols, near | second | mask_of(group), row)
+    return _fill(cols, ctx.pn.reach(group), row)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +217,8 @@ def _block_pair(ctx: _Ctx, pick: PickedSet) -> Columns:
     k = pick.k
     half = ctx.r // 2 - (k + 1)
     p, q = pick.roles["p"], pick.roles["q"]
-    p_side = ctx.related[p] & ~(1 << p)
-    q_side = ctx.related[q] & ~(1 << q)
+    p_side = ctx.pn.related[p] & ~(1 << p)
+    q_side = ctx.pn.related[q] & ~(1 << q)
     both = p_side & q_side & ~(1 << q)
     if both:
         raise ctx.unreachable(k, "III", lowest(both), reason="both sides")
@@ -251,11 +236,11 @@ def _block_pair(ctx: _Ctx, pick: PickedSet) -> Columns:
 # class IV: triple inside the final clique
 
 def _block_clique(ctx: _Ctx, pick: PickedSet) -> Columns:
-    rv, r, n1, n = ctx.rv, ctx.r, ctx.n1, ctx.g.n
+    rv, r, n1, n = ctx.rv, ctx.r, ctx.pn.near, ctx.g.n
     k = pick.k
     trio = pick.vertices
     related_pairs = [
-        (a, b) for a, b in combinations(trio, 2) if ctx.related[a] >> b & 1
+        (a, b) for a, b in combinations(trio, 2) if ctx.pn.related[a] >> b & 1
     ]
 
     if not related_pairs:
@@ -314,8 +299,8 @@ def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> Columns:
     k = pick.k
     half = ctx.r // 2 - (k + 1)
     v0, w1, w2, w = (pick.roles[r_] for r_ in ("v0", "w1", "w2", "w"))
-    star = ctx.n1[w]  # the leaf set
-    v0_side = ctx.related[v0] & ~(1 << v0)
+    star = ctx.pn.near[w]  # the leaf set
+    v0_side = ctx.pn.related[v0] & ~(1 << v0)
     early_or_v0 = ctx.picks.earlier[k] | ctx.g.masks[v0]
 
     def row(v: int) -> Vec:
@@ -336,7 +321,7 @@ def _block_two_leaf(ctx: _Ctx, pick: PickedSet) -> Columns:
     named = mask_of((v0, w1, w2, w)) | star | v0_side
     # The bulk: v outside the pick's reach.
     cols = [[x - half - 1 for x in rv], [1 - x for x in rv]]
-    return _fill(cols, named, row, ctx.reach(pick.vertices) & ~named,
+    return _fill(cols, named, row, ctx.pn.reach(pick.vertices) & ~named,
                  lambda v: ctx.unreachable(k, "V", v))
 
 
@@ -349,10 +334,10 @@ def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> Columns:
     r = ctx.r
     half = r // 2 - (k + 1)
     w0, v1, v2, w = (pick.roles[r_] for r_ in ("w0", "v1", "v2", "w"))
-    star = ctx.n2[w0]  # = the whole leaf set of w's star
-    v1_side = ctx.related[v1] & ~(1 << v1)
-    v2_side = ctx.related[v2] & ~(1 << v2)
-    subcase_b = ctx.related[v1] >> v2 & 1
+    star = ctx.pn.second[w0]  # = the whole leaf set of w's star
+    v1_side = ctx.pn.related[v1] & ~(1 << v1)
+    v2_side = ctx.pn.related[v2] & ~(1 << v2)
+    subcase_b = ctx.pn.related[v1] >> v2 & 1
     early, adj = ctx.picks.earlier[k], ctx.g.masks
     early_or_v1 = early | adj[v1]
 
@@ -400,7 +385,7 @@ def _block_one_leaf_edge(ctx: _Ctx, pick: PickedSet) -> Columns:
     col = rv[:]
     for v in members((early if subcase_b else early_or_v1) & ~named):
         col[v] -= 1
-    return _fill([col, [0] * ctx.g.n], named, row, ctx.reach(pick.vertices) & ~named,
+    return _fill([col, [0] * ctx.g.n], named, row, ctx.pn.reach(pick.vertices) & ~named,
                  lambda v: ctx.unreachable(k, "VI", v))
 
 
@@ -414,14 +399,14 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> Columns:
     base = -ctx.r + 2 * (k + 1)
     mhalf = -ctx.r // 2 + (k + 1)
     p, q, s = (pick.roles[r_] for r_ in ("p", "q", "s"))
-    close = ctx.related[q] >> p & 1  # p,q share a factor component
+    close = ctx.pn.related[q] >> p & 1  # p,q share a factor component
 
     tk = None
     for tri in ctx.f.triangles:
         if p in tri and q in tri:
             (tk,) = (v for v in tri if v not in (p, q))
-    reach = ctx.reach(pick.vertices)
-    s_side, p_side, q_side = (ctx.related[x] for x in (s, p, q))
+    reach = ctx.pn.reach(pick.vertices)
+    s_side, p_side, q_side = (ctx.pn.related[x] for x in (s, p, q))
     xs = base + rv[s]
     s_leaf = (xs - 1, -rv[s]) if close else (-rv[s], -rv[s])
 
@@ -429,7 +414,7 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> Columns:
         # Written for p's side (x = p, y = q) when p and q are far apart;
         # q's side is its mirror image.
         if early >> v & 1:
-            row = (base + rv[x], mhalf) if (ctx.n2[x] & leaves) >> v & 1 else (base, 0)
+            row = (base + rv[x], mhalf) if (ctx.pn.second[x] & leaves) >> v & 1 else (base, 0)
         else:
             code = _bits(adj[v], y, s)
             if not code:
@@ -455,7 +440,7 @@ def _block_one_edge(ctx: _Ctx, pick: PickedSet) -> Columns:
             return (-rv[v], -rv[v])
         if s_side >> v & 1:
             if early >> v & 1:
-                return s_leaf if (ctx.n2[s] & leaves) >> v & 1 else (0, 0)
+                return s_leaf if (ctx.pn.second[s] & leaves) >> v & 1 else (0, 0)
             # by (v ~ p, v ~ q)
             return ((xs, xs), (xs, 0), (0, xs), (0, 0))[_bits(adj[v], p, q)]
         if p_side >> v & 1:
@@ -515,7 +500,7 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> Columns:
     base = -ctx.r + 2 * (k + 1)
     mhalf = -ctx.r // 2 + (k + 1)
     a, b, c = _super_roles(ctx, pick)
-    reach = ctx.reach(pick.vertices)
+    reach = ctx.pn.reach(pick.vertices)
     xb = base + rv[b]
     # a's rows are written out; c's are their mirror image: a and c exchanged,
     # the two coordinates swapped.
@@ -545,7 +530,7 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> Columns:
     def second_leaf(x: int, v: int) -> Vec:
         """The row of v, a leaf of N2(x) picked before k, set by x's link's row."""
         # v in N2(x) - {x} makes x a leaf of v's star; a leaf's one pseudo-neighbor is its link.
-        link = oriented(x, out[next(iter(ctx.pn.n1[x]))])
+        link = oriented(x, out[lowest(ctx.pn.near[x])])
         if x != b:
             return oriented(x, (base, -rv[x]) if link[0] != base else (base + rv[x], mhalf))
         row = {(1, 1): (1 - rv[b], 1 - rv[b]), (1, xb): (1 - rv[b], base),
@@ -559,10 +544,10 @@ def _block_super(ctx: _Ctx, pick: PickedSet) -> Columns:
     out: dict[int, Vec] = {x: oriented(x, (base - rv[x], rv[x])) for x in (a, c)}
     out[b] = (1 + rv[b], 1 + rv[b])
     for x in (a, b, c):
-        for v in sorted(ctx.pn.n1[x] - {a, b, c}):
+        for v in members(ctx.pn.near[x] & ~mask_of((a, b, c))):
             out[v] = near(x, v, guard_central=True)
     for x in (a, b, c):
-        for v in sorted(ctx.pn.n2[x] - {x} - set(out)):
+        for v in members(ctx.pn.second[x] & ~(1 << x | mask_of(out))):
             if early >> v & 1 and ctx.f.leaves >> v & 1:
                 out[v] = second_leaf(x, v)
             else:

@@ -10,10 +10,12 @@ distinct from graph adjacency:
     two, which point back at it only.
 
 N2(v) collects pseudo-neighbors of pseudo-neighbors and always contains v.
-A vertex with N2(v) = {v} is called central.  The schedule assigns
+A vertex with N2(v) = {v} is called central.  ``build_pseudo`` builds N and N2
+once, as vertex masks, for every reader.  The schedule assigns
 r(v) = r - 2*delta*m(v), where m(v) is the first pick index whose group meets
 N(v) union N2(v), and delta = r/(6n): in delta units, which the block tables
 use, r(v) = 6n - 2m(v).  The default r = 12n gives delta = 2, integer coordinates.
+N is symmetric, so N | N2 is too, and m is taken in one pass over the picks.
 The integer m is the schedule: it is what ``validate_schedule`` checks, and the
 Fraction radii are built from it once, for the embedding file and ``verify``.
 """
@@ -22,55 +24,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import or_
 
 from .errors import PipelineError
 from .factor import StarTriangleFactor
-
+from .graphs import lowest, mask_of, members
 from .picking import PickSequence
 
 
 @dataclass(frozen=True)
 class PseudoNeighborhood:
-    n1: dict[int, frozenset[int]]
-    n2: dict[int, frozenset[int]]
+    """N(v), N2(v) and N(v) | N2(v) of every vertex v, as the masks ``near[v]``,
+    ``second[v]`` and ``related[v]``."""
+    near: list[int]
+    second: list[int]
 
-    def related(self, v: int) -> frozenset[int]:
-        return self.n1[v] | self.n2[v]
+    @cached_property
+    def related(self) -> list[int]:
+        return list(map(or_, self.near, self.second))
 
-    def reach(self, vertices) -> frozenset[int]:
-        """N_k of a picked group: union of N(v) and N2(v) over the group."""
-        out: set[int] = set()
-        for v in vertices:
-            out |= self.n1[v]
-            out |= self.n2[v]
-        return frozenset(out)
+    def reach(self, vertices) -> int:
+        """N_k of a picked group, as a mask: the union of N(v) and N2(v) over the group."""
+        return reduce(or_, map(self.related.__getitem__, vertices), 0)
+
+    @cached_property
+    def n1(self) -> dict[int, frozenset[int]]:
+        """N(v) as a vertex set, for readers that count pseudo-neighbors."""
+        return {v: frozenset(members(x)) for v, x in enumerate(self.near)}
 
 
 def build_pseudo(f: StarTriangleFactor, picks: PickSequence) -> PseudoNeighborhood:
-    n1: dict[int, set[int]] = {}
+    near = [0] * picks.earlier[-1].bit_length()
     for u, leaves in f.stars.items():
-        n1[u] = set(leaves)
+        near[u] = mask_of(leaves)
         for x in leaves:
-            n1[x] = {u}
+            near[x] = 1 << u
     for u, v in f.residual.edges:
-        n1[u] = {v}
-        n1[v] = {u}
+        near[u], near[v] = 1 << v, 1 << u
     index = picks.index_of()
     for tri in f.triangles:
         x, y, z = sorted(tri, key=lambda v: (index[v], v))
-        n1[x] = {y, z}
-        n1[y] = {x}
-        n1[z] = {x}
+        near[x], near[y], near[z] = 1 << y | 1 << z, 1 << x, 1 << x
 
-    missing = [v for v in index if v not in n1]
+    missing = [v for v in index if not near[v]]
     if missing:
         raise PipelineError("schedule", f"vertices {missing} not covered by the factor",
                             vertices=missing)
-    n2 = {v: frozenset(w for u in n1[v] for w in n1[u]) for v in n1}
-    for v, s in n2.items():
-        if v not in s:
+    second = [reduce(or_, map(near.__getitem__, members(x)), 0) for x in near]
+    for v, x in enumerate(second):
+        if not x >> v & 1:
             raise PipelineError("schedule", f"vertex {v} not in its own N2", vertex=v)
-    return PseudoNeighborhood({v: frozenset(s) for v, s in n1.items()}, n2)
+    return PseudoNeighborhood(near, second)
 
 
 @dataclass(frozen=True)
@@ -92,13 +97,17 @@ def radius_schedule(pn: PseudoNeighborhood, picks: PickSequence,
                     r: int | Fraction) -> RadiusSchedule:
     if type(r) not in (int, Fraction) or r <= 0:
         raise ValueError(f"radius must be a positive int or Fraction, got {r!r}")
-    n = len(pn.n1)
-    index = picks.index_of()
-    m = {v: min(index[u] for u in pn.related(v)) for v in pn.n1}
+    n = len(pn.near)
+    m, todo = [0] * n, (1 << n) - 1
+    for p in picks.picks:  # the first pick whose reach holds v sets m(v), by symmetry
+        reach = pn.reach(p.vertices)
+        for v in members(reach & todo):
+            m[v] = p.k
+        todo &= ~reach
     # r(v) = r - 2*delta*m(v) = (r/(3n)) * (3n - m(v)): one Fraction per distinct m.
     unit = Fraction(r, 3 * n)
-    radius = {k: unit * (3 * n - k) for k in set(m.values())}
-    return RadiusSchedule(r, m, {v: radius[k] for v, k in m.items()})
+    radius = {k: unit * (3 * n - k) for k in set(m)}
+    return RadiusSchedule(r, dict(enumerate(m)), {v: radius[k] for v, k in enumerate(m)})
 
 
 def validate_schedule(f: StarTriangleFactor, pn: PseudoNeighborhood,
@@ -115,10 +124,12 @@ def validate_schedule(f: StarTriangleFactor, pn: PseudoNeighborhood,
     """
     m = sched.m
     n = len(m)
+    at = [0] * n  # at[j]: the vertices with m = j
     for v, mv in m.items():
         if not 0 <= mv < n:
             raise PipelineError("schedule", f"m({v}) = {mv} outside [0, {n})",
                                 vertex=v, m=mv)
+        at[mv] |= 1 << v
 
     # Radii agree inside every factor component.
     for u, leaves in f.stars.items():
@@ -133,10 +144,12 @@ def validate_schedule(f: StarTriangleFactor, pn: PseudoNeighborhood,
         if m[u] != m[v]:
             raise PipelineError("schedule", f"matched pair {(u, v)} disagrees on m")
 
+    above = mask_of(m)  # the vertices whose m exceeds the block's k
     for p in picks.picks:
         if not 0 <= p.k < n - 1:
             raise PipelineError("schedule", f"cutoff for block {p.k} out of range", k=p.k)
-        for v in pn.reach(p.vertices):
-            if m[v] > p.k:
-                raise PipelineError("schedule", f"m({v}) = {m[v]} above block {p.k}",
-                                    k=p.k, vertex=v)
+        above &= ~at[p.k]
+        if late := pn.reach(p.vertices) & above:
+            v = lowest(late)
+            raise PipelineError("schedule", f"m({v}) = {m[v]} above block {p.k}",
+                                k=p.k, vertex=v)

@@ -130,7 +130,7 @@ class _Grid:
                 self.domains[u] = (earlier[k + 1] & ~(1 << u), apart & earlier[k + 1] & star,
                                    apart & ~(earlier[k] | star))
         self.screen = None if points.small else _Screen(self)
-        n1 = emb.pseudo.n1
+        n1 = list(map(members, emb.pseudo.near))  # N(u), in vertex order
         # A block's distance never exceeds rho, so only these pairs can fail
         # (1) or (5) in some block.
         if points.small or min(rv) < 0:
@@ -256,7 +256,7 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
     failures = [f for k in range(emb.picks.count) for f in check_inequalities(g, emb, k, grid)]
     sig_equal = radius_agree = True  # what a clean suite implies, by the module docstring
     if (failures or min(grid.rv) < 1 or grid.dims[-1].stop != emb.d
-            or not all(emb.pseudo.n1[u] - {u} for u in range(g.n))):
+            or not all(x & ~(1 << u) for u, x in enumerate(emb.pseudo.near))):
         try:
             radii, realized = _recompute(grid.points, grid.rv)
         except ValueError as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from math import comb
 
-from sigdim import Graph
+from sigdim import Graph, PickSequence, StarTriangleFactor
 from sigdim.graphs import members
 
 
@@ -35,3 +35,19 @@ def brute_force_matching(g: Graph) -> int:
 def count_min_degree_one(n: int) -> int:
     """Inclusion-exclusion count of labeled graphs with min degree >= 1."""
     return sum((-1) ** k * comb(n, k) * 2 ** comb(n - k, 2) for k in range(n + 1))
+
+
+def reference_m(f: StarTriangleFactor, picks: PickSequence) -> dict[int, int]:
+    """m(v), the least pick index over N(v) | N2(v), from the definitions as sets."""
+    index = picks.index_of()
+    near: dict[int, set[int]] = {}
+    for u, leaves in f.stars.items():
+        near[u] = set(leaves)
+        near.update((x, {u}) for x in leaves)
+    for u, v in f.residual.edges:
+        near[u], near[v] = {v}, {u}
+    for tri in f.triangles:
+        x, y, z = sorted(tri, key=lambda v: (index[v], v))  # the earliest picked, ties by index
+        near[x], near[y], near[z] = {y, z}, {x}, {x}
+    second = {v: {w for u in near[v] for w in near[u]} for v in near}
+    return {v: min(index[u] for u in near[v] | second[v]) for v in near}

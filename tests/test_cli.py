@@ -616,6 +616,16 @@ def _self_leaves(data):
 _self_leaves.graph = K2
 
 
+def _dropped_triangle_vertex(data):
+    # On C3 the one pick is the triangle: without vertex 2 the picks no longer
+    # partition the vertices, which is checked before the factor is read.
+    data["trace"]["picks"][0]["vertices"].remove(2)
+
+
+_dropped_triangle_vertex.graph = C3
+_dropped_triangle_vertex.message = "must partition"
+
+
 @pytest.mark.parametrize("mutate", [_short("rv"), _short("m"), _set_dim, _wrong_d,
                                     _ragged, _unknown_pick, _missing_row, _empty_dims,
                                     _empty_pick, _block_class, _shifted_dims,
@@ -637,7 +647,8 @@ _self_leaves.graph = K2
                                     _roles({"x": 4}), _roles({"x": -1}), _roles([1]),
                                     _extra_column, _m_entries(3), _renumbered_k,
                                     _top("extra", None), _top("delta", "4/2"),
-                                    _top("trace.m", None), _self_leaves],
+                                    _top("trace.m", None), _self_leaves,
+                                    _dropped_triangle_vertex],
                          ids=["short-rv", "short-m", "dims-range", "wrong-d", "ragged",
                               "unknown-pick", "missing-row", "empty-dims", "empty-pick",
                               "block-class", "shifted-dims", "stars-list", "stars-int",
@@ -647,7 +658,8 @@ _self_leaves.graph = K2
                               "float-coord", "bool-coord", "wrong-n", "float-role",
                               "bool-role", "role-range", "negative-role", "roles-list",
                               "extra-column", "tampered-m", "renumbered-k", "extra-key",
-                              "unreduced-delta", "dotted-key", "self-leaves"])
+                              "unreduced-delta", "dotted-key", "self-leaves",
+                              "dropped-triangle-vertex"])
 def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     graph = tmp_path / "g.txt"
     graph.write_text(getattr(mutate, "graph", K13))
@@ -656,7 +668,8 @@ def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     data = json.loads(out.read_text())
     mutate(data)
     out.write_text(json.dumps(data))
-    assert one_line_error(*run(capsys, "verify", graph, out))
+    code, stdout, stderr = run(capsys, "verify", graph, out)
+    assert one_line_error(code, stdout, stderr) and getattr(mutate, "message", "") in stderr
 
 
 @pytest.mark.parametrize("r", [None, Fraction(7, 3)], ids=["default-r", "r-7/3"])

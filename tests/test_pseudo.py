@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from sigdim import (PipelineError, build_pseudo, maximum_matching, parse_graph,
-                    pick_vertices, radius_schedule, star_triangle_factor)
-from sigdim.pseudo import validate_schedule
-from conftest import C3, K13, K2
+from sigdim import (PipelineError, build_pseudo, generate_random, maximum_matching,
+                    parse_graph, pick_vertices, radius_schedule, star_triangle_factor)
+from sigdim.graphs import mask_of
+from sigdim.pseudo import default_radius, validate_schedule
+from conftest import ATLAS279, C3, K13, K2, planted_stars
+from oracles import reference_m
 
 
 def pipeline_to_schedule(text, r=None):
@@ -24,25 +26,26 @@ def pipeline_to_schedule(text, r=None):
 
 def test_matching_case():
     _, _, _, pn, _ = pipeline_to_schedule(K2)
-    assert pn.n1[0] == {1} and pn.n1[1] == {0}
-    assert pn.n2[0] == {0}
-    assert pn.n2[1] == {1}
+    assert pn.near == [mask_of({1}), mask_of({0})]
+    assert pn.second[0] == mask_of({0})
+    assert pn.second[1] == mask_of({1})
 
 
 def test_star_case():
     _, _, _, pn, _ = pipeline_to_schedule(K13)
-    assert pn.n1[0] == {1, 2, 3}
-    assert pn.n1[1] == {0}
-    assert pn.n2[1] == {1, 2, 3}
-    assert pn.n2[0] == {0}
+    assert pn.near[0] == mask_of({1, 2, 3})
+    assert pn.near[1] == mask_of({0})
+    assert pn.second[1] == mask_of({1, 2, 3})
+    assert pn.second[0] == mask_of({0})
+    assert pn.n1 == {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}  # the view perfbench counts
 
 
 def test_triangle_tie_break_by_index():
     # All three picked together; the earliest role goes to the least index.
     _, _, _, pn, _ = pipeline_to_schedule(C3)
-    assert pn.n1[0] == {1, 2}
-    assert pn.n1[1] == {0} and pn.n1[2] == {0}
-    assert pn.n2[0] == {0}
+    assert pn.near[0] == mask_of({1, 2})
+    assert pn.near[1] == mask_of({0}) and pn.near[2] == mask_of({0})
+    assert pn.second[0] == mask_of({0})
 
 
 def test_every_vertex_in_own_second_neighborhood(corpus5):
@@ -51,7 +54,18 @@ def test_every_vertex_in_own_second_neighborhood(corpus5):
         seq = pick_vertices(g, f)
         pn = build_pseudo(f, seq)
         for v in range(g.n):
-            assert v in pn.n2[v]
+            assert pn.second[v] >> v & 1
+
+
+def test_schedule_matches_the_set_definition(corpus5):
+    # m(v) = the least pick index over N(v) | N2(v), taken from sets by the oracle.
+    graphs = corpus5 + [planted_stars(200, seed) for seed in range(10)]
+    graphs += [generate_random(n, Fraction(1, 2), n) for n in (6, 13, 40, 90)]
+    for g in graphs:
+        f = star_triangle_factor(g, maximum_matching(g))
+        seq = pick_vertices(g, f)
+        sched = radius_schedule(build_pseudo(f, seq), seq, default_radius(g.n))
+        assert sched.m == reference_m(f, seq)
 
 
 def test_k2_schedule():
@@ -107,14 +121,16 @@ def test_rejects_non_rational_radius(radius):
         radius_schedule(build_pseudo(f, seq), seq, radius)
 
 
-@pytest.mark.parametrize("m,message", [
-    ({2: 4}, r"m\(2\) = 4 outside \[0, 4\)"),        # m(v) = n: r(v) = 2r/3
-    ({1: 1}, "leaf 1 and center 0 disagree"),       # a leaf off its centre's radius
-    (dict.fromkeys(range(4), 1), r"m\(0\) = 1 above block 0"),  # reach(P_0) below the cutoff
-], ids=["m-equals-n", "leaf-centre", "above-cutoff"])
-def test_validate_schedule_rejects_tampered_m(m, message):
-    # K_{1,3}: P_0 = {0}, whose reach is every vertex; P_1 = the leaves 1, 2, 3.
-    _, f, seq, pn, sched = pipeline_to_schedule(K13)
+@pytest.mark.parametrize("text,m,message", [
+    (K13, {2: 4}, r"m\(2\) = 4 outside \[0, 4\)"),        # m(v) = n: r(v) = 2r/3
+    (K13, {1: 1}, "leaf 1 and center 0 disagree"),       # a leaf off its centre's radius
+    (K13, dict.fromkeys(range(4), 1), r"m\(0\) = 1 above block 0"),  # reach(P_0) below the cutoff
+    # P_1 = (0, 2, 4) reaches the pairs (2, 6) and (4, 5): of the four above it, the lowest is named.
+    (ATLAS279, dict.fromkeys((2, 4, 5, 6), 2), r"m\(2\) = 2 above block 1"),
+], ids=["m-equals-n", "leaf-centre", "above-cutoff", "two-above-cutoff"])
+def test_validate_schedule_rejects_tampered_m(text, m, message):
+    # On K_{1,3}, P_0 = {0}, whose reach is every vertex; P_1 = the leaves 1, 2, 3.
+    _, f, seq, pn, sched = pipeline_to_schedule(text)
     validate_schedule(f, pn, seq, sched)
     with pytest.raises(PipelineError, match=message) as info:
         validate_schedule(f, pn, seq, replace(sched, m={**sched.m, **m}))

@@ -122,6 +122,9 @@ def test_perfbench_patch_targets_exist(tmp_path):
     # The recorded calls feed the per-layer counts, which read the embedding.
     sizes = tracing._observed_sizes(tracer.observed)
     assert sizes["sum"]["verify.ineq_evals.f2"] > 0
+    # (1) ranges over N(u) in every block: 2 blocks x 6 pseudo-neighbour entries
+    # per verify, and both commands verify.
+    assert sizes["sum"]["verify.ineq_evals.f1"] == 2 * 12
 
 
 def test_traced_embed_dumps_its_file_once(tmp_path):

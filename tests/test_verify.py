@@ -159,7 +159,7 @@ def _reference_block(g, emb, k) -> list[dict]:
                       "lhs": _rat(lhs), "rhs": _rat(rhs)})
 
     for u in range(g.n):
-        for nu in emb.pseudo.n1[u]:
+        for nu in sorted(emb.pseudo.n1[u]):
             lhs = _rho(coords[u], coords[nu], dims)
             if not lhs <= rv[u]:
                 record(1, u, nu, lhs, rv[u])
