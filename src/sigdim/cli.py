@@ -31,7 +31,7 @@ from .factor import StarTriangleFactor, validate_factor
 from .graphs import Graph, generate_exhaustive, parse_graph, sample_gnp
 from .matching import Matching
 from .picking import PickClass, PickedSet, PickSequence
-from .pseudo import build_pseudo, radius_schedule, RadiusSchedule
+from .pseudo import build_pseudo, schedule_m, RadiusSchedule
 from .rationals import parse_rational, rat_from_json
 from .sig import PointSet, compute_sig, oracle_embed_2ia
 from .verify import verify
@@ -203,7 +203,9 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     if sum(map(len, block_dims(picks))) != points.d:
         raise ValueError(f"the block widths must sum to the coordinate width {points.d}")
     r = rat_from_json(data["r"])
-    sched = RadiusSchedule(r, radius_schedule(pn, picks, r).m,
+    if r <= 0:
+        raise ValueError(f"radius must be a positive int or Fraction, got {r!r}")
+    sched = RadiusSchedule(r, schedule_m(pn, picks),
                            {v: rat_from_json(x) for v, x in enumerate(trace["rv"])})
     emb = Embedding(g, factor, picks, pn, sched, points)
     ours, theirs = _fields(emb.to_json(coords=False)), _fields(data)

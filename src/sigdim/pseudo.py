@@ -93,21 +93,25 @@ def default_radius(n: int) -> Fraction:
     return Fraction(12 * n)
 
 
-def radius_schedule(pn: PseudoNeighborhood, picks: PickSequence,
-                    r: int | Fraction) -> RadiusSchedule:
-    if type(r) not in (int, Fraction) or r <= 0:
-        raise ValueError(f"radius must be a positive int or Fraction, got {r!r}")
-    n = len(pn.near)
-    m, todo = [0] * n, (1 << n) - 1
+def schedule_m(pn: PseudoNeighborhood, picks: PickSequence) -> dict[int, int]:
+    """m(v) for every vertex v, in one pass over the picks; it does not depend on r."""
+    m, todo = [0] * len(pn.near), (1 << len(pn.near)) - 1
     for p in picks.picks:  # the first pick whose reach holds v sets m(v), by symmetry
         reach = pn.reach(p.vertices)
         for v in members(reach & todo):
             m[v] = p.k
         todo &= ~reach
+    return dict(enumerate(m))
+
+
+def radius_schedule(pn: PseudoNeighborhood, picks: PickSequence,
+                    r: int | Fraction) -> RadiusSchedule:
+    if type(r) not in (int, Fraction) or r <= 0:
+        raise ValueError(f"radius must be a positive int or Fraction, got {r!r}")
+    m, n = schedule_m(pn, picks), len(pn.near)
     # r(v) = r - 2*delta*m(v) = (r/(3n)) * (3n - m(v)): one Fraction per distinct m.
-    unit = Fraction(r, 3 * n)
-    radius = {k: unit * (3 * n - k) for k in set(m)}
-    return RadiusSchedule(r, dict(enumerate(m)), {v: radius[k] for v, k in enumerate(m)})
+    radius = {k: Fraction(r * (3 * n - k), 3 * n) for k in set(m.values())}
+    return RadiusSchedule(r, m, {v: radius[k] for v, k in m.items()})
 
 
 def validate_schedule(f: StarTriangleFactor, pn: PseudoNeighborhood,

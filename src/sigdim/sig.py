@@ -8,15 +8,15 @@ on the boundary rho = r_u + r_v, where floating point would misclassify.
 
 An edge is a threshold question on grid integers, radii included, so the
 SIG needs no rho itself.  ``ThresholdKernel`` decides rho(u,v) < t on rows packed
-into one int each; ``compute_sig`` asks it once per pair, at r_u + r_v.
-``compute_radii`` reads the radii off the exact distance table
-(``PointSet.distances``), which ``compute_sig`` also sweeps for radii below 0
-and for small point sets, where it is cheaper than packing the rows.
-``verify`` checks scheduled radii on the SIG swept at them, so it builds the
-table only when they are not the radii; when its inequality suite passes it
-makes no sweep at all.  It tests its pseudo-neighbor and edge pairs one by
-one, and runs the same kernel over the columns of a point set, to screen a
-block's distances from one point to all.
+into one int each, at any size; ``compute_sig`` asks it once per pair, at
+r_u + r_v.  ``compute_radii`` reads the radii off the exact distance table
+(``PointSet.distances``), which ``compute_sig`` also sweeps at the radii it
+finds there, and at given radii only if one lies below 0.  ``verify`` checks
+scheduled radii on the SIG swept at them, so it builds the table only when
+they are not the radii; when its inequality suite passes it makes no sweep at
+all.  It tests its pseudo-neighbor and edge pairs one by one, and runs the
+same kernel over the columns of a point set, to screen a block's distances
+from one point to all.
 
 ``oracle_embed_2ia`` is the unconditional n-dimensional realization taking
 point v to row v of 2I + A; it is the reference oracle for everything else.
@@ -28,7 +28,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, repeat
 from operator import add, lshift, sub
 from typing import Iterable
@@ -37,10 +37,6 @@ from .graphs import Graph, members
 from .rationals import common_scale, rat_from_json, rat_to_json, to_grid
 
 Point = tuple[Fraction, ...]
-
-# n^2 * d at or below which verification reads the exact distance table: packing
-# rows for the kernel costs more there (break-even near n = 24 at p = 1/2).
-SMALL_TABLE = 10_000
 
 
 @dataclass(frozen=True)
@@ -103,11 +99,6 @@ class PointSet:
         """The grid rows packed for threshold tests, built once."""
         return ThresholdKernel(self.grid, self.bound)
 
-    @property
-    def small(self) -> bool:
-        """Whether the exact table is cheaper than packing rows for the kernel."""
-        return len(self.grid) ** 2 * self.d <= SMALL_TABLE
-
 
 class ThresholdKernel:
     """Decides rho(u,v) < t for integer rows, each packed into one int.
@@ -140,6 +131,7 @@ class ThresholdKernel:
         self.lo = self.pack([1] * d)  # a one in each field j < d
         self.ones = self.lo + (self.lo << self._shift)
         self.top = self.ones * self.half
+        self._spread = _spread_table(self.width)
         self.rows = []
         for row in grid:
             plus = self.pack(map(add, row, repeat(m)))
@@ -155,14 +147,6 @@ class ThresholdKernel:
     def both(self, x: int) -> int:
         """Top bit of field j < d set iff fields j and d + j of x both have theirs set."""
         return x & (x >> self._shift) & self.top
-
-    @cached_property
-    def _spread(self) -> list[bytes]:
-        # Entry b: top bits of the fields i < 8 with bit i of b set, in ``width`` bytes.
-        table = [0]
-        for i in range(8):
-            table += [x + (self.half << (self.width * i)) for x in table]
-        return [x.to_bytes(self.width, "little") for x in table]
 
     def spread(self, mask: int) -> int:
         """Top bit of field i set for each set bit i of a mask >= 0."""
@@ -183,6 +167,15 @@ class ThresholdKernel:
             raise ValueError("threshold parts must be non-negative")
         hi, top = self.rows[u] + (self.half + self.clamp(t) - 1) * self.ones, self.top
         return [v for v in vs if (hi - rows[v]) & top == top]
+
+
+@cache
+def _spread_table(width: int) -> tuple[bytes, ...]:
+    """Entry b: top bits of the fields i < 8 with bit i of b set; one table per field width."""
+    table, half = [0], 1 << (width - 1)
+    for i in range(8):
+        table += [x + (half << (width * i)) for x in table]
+    return tuple(x.to_bytes(width, "little") for x in table)
 
 
 # array typecodes by item width in bits; a later code of the same width wins.
@@ -223,12 +216,12 @@ def compute_sig(ps: PointSet, radius: list[int] | None = None) -> Graph:
     """Edge uv iff rho(u,v) < r_u + r_v, decided in exact integer arithmetic.
 
     ``radius`` holds grid radii, taken as given; without them ``compute_radii``
-    finds them in the exact table.  One sweep: of that table when it is built
-    for the radii, the point set is small or a radius lies below 0, and of the
-    kernel, r_v folded into row v, otherwise.
+    finds them in the exact table, which the sweep then reads.  Given radii are
+    swept by the kernel, r_v folded into row v, at any size; radii with one
+    below 0, which its split thresholds do not take, by the table.
     """
     n = len(ps.grid)
-    if radius is None or ps.small or min(radius) < 0:
+    if radius is None or min(radius) < 0:
         radius = compute_radii(ps) if radius is None else radius
         table = ps.distances
         edges = [(u, v) for u, r in enumerate(radius) for v in range(u + 1, n)

@@ -34,9 +34,9 @@ the report holds Fractions.  Every check is a threshold question, so none
 needs rho itself.  When recomputed, the SIG is one ``sig.ThresholdKernel``
 sweep at the scheduled radii r(u) + r(v), and they are the radii iff every u
 has a neighbor in it at distance r(u) and none closer (``_recompute``).  The
-table of exact distances is built only when a radius lies below 0 or the
-point set is small, and on the recomputing path when that rule fails or a
-radius lies below 1.  A block's distance never exceeds rho, so
+kernel serves point sets of every size; the table of exact distances is
+built only for a radius below 0, and on the recomputing path when that rule
+fails or a radius lies below 1.  A block's distance never exceeds rho, so
 rho(u,nu) <= r(u), or rho(u,v) < r(u) + r(v) on an edge, clears that pair of
 (1) or (5) in every block; one kernel test per pseudo-neighbor and per edge
 finds the other pairs, which are re-evaluated, block by block, as a full
@@ -129,11 +129,11 @@ class _Grid:
                 star, apart = mates.get(u, 0), top & ~(g.masks[u] | 1 << u)
                 self.domains[u] = (earlier[k + 1] & ~(1 << u), apart & earlier[k + 1] & star,
                                    apart & ~(earlier[k] | star))
-        self.screen = None if points.small else _Screen(self)
+        self.screen = _Screen(self)
         n1 = list(map(members, emb.pseudo.near))  # N(u), in vertex order
         # A block's distance never exceeds rho, so only these pairs can fail
         # (1) or (5) in some block.
-        if points.small or min(rv) < 0:
+        if min(rv) < 0:  # outside input only; the kernel's thresholds start at 0
             table = points.distances
             self.far_pseudo = [(u, v) for u in range(n) for v in n1[u] if table[u][v] > rv[u]]
             self.long_edges = [(u, v) for u in range(n) for v in members(g.masks[u] & -(2 << u))
@@ -211,7 +211,7 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
             record(1, u, nu, lhs, rv[u])
 
     for u in emb.picks.picks[k].vertices:
-        if grid.screen and not grid.screen.may_fail(k, u, cols):
+        if not grid.screen.may_fail(k, u, cols):
             continue
         ru, (f2, f3, f4) = rv[u], grid.domains[u]
         f34 = f3 | f4
@@ -238,7 +238,7 @@ def _recompute(points: PointSet, rv: list[int]) -> tuple[list[int], Graph]:
     So rv are the radii iff each u passes both tests; exact radii >= 1 do, and
     a coincident pair does not.  Otherwise the radii come from the exact table.
     """
-    if not points.small and min(rv) >= 1:
+    if min(rv) >= 1:
         realized, near = compute_sig(points, rv), points.kernel.near
         if all((within := near(u, a, r + 1)) and not near(u, within, r)
                for u, (a, r) in enumerate(zip(map(members, realized.masks), rv))):

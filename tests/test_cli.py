@@ -672,6 +672,19 @@ def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     assert one_line_error(code, stdout, stderr) and getattr(mutate, "message", "") in stderr
 
 
+@pytest.mark.parametrize("r", [0, "-24", "0/5"], ids=["zero", "negative-string", "zero-string"])
+def test_non_positive_r_rejected(tmp_path, capsys, r):
+    # The loader takes m from the picks alone, so r is checked on its own.
+    graph, out = tmp_path / "g.txt", tmp_path / "g.json"
+    graph.write_text(K13)
+    assert run(capsys, "embed", graph, "-o", out)[0] == 0
+    data = json.loads(out.read_text())
+    data["r"] = r
+    out.write_text(json.dumps(data))
+    code, stdout, stderr = run(capsys, "verify", graph, out)
+    assert one_line_error(code, stdout, stderr) and "radius must be a positive" in stderr
+
+
 @pytest.mark.parametrize("r", [None, Fraction(7, 3)], ids=["default-r", "r-7/3"])
 def test_embedding_json_round_trips(r):
     # The loader rebuilds exactly what embed built from the file embed writes.
@@ -692,12 +705,12 @@ def embedded(text: str) -> str:
         return out.read_text()
 
 
-# n^2 d = 40^2 * 27 > SMALL_TABLE for the last graph, so its tampered radii reach the kernel.
+# Graphs of 2 to 40 vertices: the kernel refutes tampered radii at every size.
 MUTATED_GRAPHS = [K2, K13, C3, generate_random(9, 0.5, 4).serialize(),
                   generate_random(40, 0.5, 1).serialize()]
 
 
-@pytest.mark.parametrize("text", [K13, MUTATED_GRAPHS[-1]], ids=["table", "kernel"])
+@pytest.mark.parametrize("text", [K13, MUTATED_GRAPHS[-1]], ids=["k13", "gnp40"])
 def test_int_and_fraction_coordinates_load_alike(tmp_path, capsys, text):
     # All-int rows load onto the grid as they are; "p/q" strings take the exact path.
     graph = tmp_path / "g.txt"

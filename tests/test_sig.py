@@ -6,15 +6,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sigdim import (compute_radii, compute_sig, generate_exhaustive,
+from sigdim import (Graph, compute_radii, compute_sig, generate_exhaustive,
                     oracle_embed_2ia, parse_graph)
-import sigdim.sig
 from sigdim.sig import PointSet, ThresholdKernel, _dist, pack_fields
 from sigdim.verify import _recompute
 
 
 def points(rows):
     return PointSet.from_rows(rows)
+
+
+def table_sig(ps, radii):
+    """The SIG at ``radii``, swept over the exact distance table."""
+    n, table = len(ps.grid), ps.distances
+    return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)
+                              if table[u][v] < radii[u] + radii[v]))
 
 
 def test_radii_line():
@@ -163,15 +169,21 @@ def test_spread_sets_top_bits(width, bits):
     assert kernel.spread(mask) == expected
 
 
-def test_radius_claims_confirmed_or_replaced(monkeypatch):
-    monkeypatch.setattr(sigdim.sig, "SMALL_TABLE", 0)  # the kernel, even for four points
+def test_kernels_of_one_width_share_the_spread_table():
+    # The table is built once per field width, not once per kernel.
+    a, b = ThresholdKernel([[0, 4]], 4), ThresholdKernel([[5], [-5]], 5)
+    assert a.width == b.width and a._spread is b._spread
+    assert ThresholdKernel([[10**6]], 10**6)._spread is not a._spread
+
+
+def test_radius_claims_confirmed_or_replaced():
     ps = points([[0, 0], [3, 1], [10, -2], [4, 9]])
     exact = [3, 3, 7, 8]
-    assert _recompute(ps, exact) == (exact, compute_sig(ps, exact))
+    confirmed = _recompute(ps, exact)
     assert "distances" not in vars(ps)  # a confirmed claim computes no distance
-    assert compute_radii(ps) == exact
+    assert compute_radii(ps) == exact and confirmed == (exact, table_sig(ps, exact))
     for wrong in ([3, 3, 7, 7], [3, 3, 7, 9], [0, 3, 7, 8]):
-        assert _recompute(ps, wrong) == (exact, compute_sig(ps))
+        assert _recompute(ps, wrong) == (exact, table_sig(ps, exact))
     with pytest.raises(ValueError, match="duplicate points 0 and 2"):
         _recompute(points([[1, 2], [0, 5], [1, 2]]), [1, 1, 1])
     # A radius vector with a negative entry is swept over the exact table.
@@ -206,16 +218,16 @@ def radius_claims(draw):
 @example(([(1, 2), (0, 5), (1, 2)], [1, 1, 1]))
 @settings(max_examples=200, deadline=None)
 def test_recompute_equals_the_exact_table(case):
-    # Whatever the claim, the kernel path gives the table's radii and SIG, or its error.
+    # Whatever the claim, _recompute gives the table's radii and the SIG swept
+    # over the table at them, or the table's error.
     rows, claim = case
     try:
-        expected = compute_radii(points(rows)), compute_sig(points(rows))
+        ps = points(rows)
+        expected = compute_radii(ps), table_sig(ps, compute_radii(ps))
     except ValueError as exc:
         expected = exc
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sigdim.sig, "SMALL_TABLE", 0)
-        if isinstance(expected, ValueError):
-            with pytest.raises(ValueError, match=f"^{re.escape(str(expected))}$"):
-                _recompute(points(rows), claim)
-        else:
-            assert _recompute(points(rows), claim) == expected
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected))}$"):
+            _recompute(points(rows), claim)
+    else:
+        assert _recompute(points(rows), claim) == expected

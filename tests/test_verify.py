@@ -248,19 +248,15 @@ coordinate_moves = st.lists(st.tuples(st.integers(0, 24), st.integers(0, 40),
        st.sampled_from([-1, 1]))
 @settings(max_examples=40, deadline=None)
 def test_verify_matches_reference(case, moves, edge, dim, sign):
-    # Once with the exact table for these small point sets, once through the
-    # kernel and the block screen of families (2)-(4).
+    # The kernel and the block screen of families (2)-(4) against the Fraction
+    # reference, on the embedding, on moved coordinates and on a (5) boundary.
     g, emb = case
-    for small in (sigdim.sig.SMALL_TABLE, 0):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sigdim.sig, "SMALL_TABLE", small)
-            emb = replace(emb, points=PointSet.from_rows(emb.points.points))
-            assert_same_report(g, emb)
-            moved = emb
-            for vertex, j, amount in moves:
-                moved = perturb(moved, vertex % g.n, j % emb.d, amount)
-            assert_same_report(g, moved)
-            assert_same_report(g, boundary_move(emb, g, edge, dim % emb.d, sign))
+    assert_same_report(g, emb)
+    moved = emb
+    for vertex, j, amount in moves:
+        moved = perturb(moved, vertex % g.n, j % emb.d, amount)
+    assert_same_report(g, moved)
+    assert_same_report(g, boundary_move(emb, g, edge, dim % emb.d, sign))
 
 
 def test_verify_matches_reference_off_grid_radius():
@@ -287,7 +283,6 @@ def test_verify_matches_reference_on_star_mates():
     # through the star's mate mask.
     g = planted_stars(80, 2)
     emb = embed(g)
-    assert not emb.points.small
     index, rv = emb.picks.index_of(), emb.schedule.rv
     first, *_, last = sorted(emb.factor.stars[min(emb.factor.stars)], key=index.get)
     k = index[last]
@@ -303,7 +298,7 @@ def test_verify_matches_reference_on_star_mates():
 def test_misnumbered_picks_rejected():
     # A pick's k is its position.  With generate_random(40, 1/2, 3)'s labels
     # reversed, the block screen (by position) and the exact pass (by k) would
-    # read different (2)-(4) domains, and the verdict would turn on SMALL_TABLE.
+    # read different (2)-(4) domains, so the screen could skip a failing u.
     picks = embed(generate_random(40, 0.5, 3)).picks.picks
     with pytest.raises(ValueError, match="numbered by position"):
         PickSequence(tuple(replace(p, k=len(picks) - 1 - p.k) for p in picks))
@@ -315,7 +310,6 @@ def test_screen_flags_no_vertex_on_planted_stars():
     # vertices for the exact pass, which found nothing there.
     g = planted_stars(60, 0)
     emb = embed(g)
-    assert not emb.points.small
     grid = _Grid(g, emb)
     assert not [u for p in emb.picks.picks for u in p.vertices
                 if grid.screen.may_fail(p.k, u, [grid.cols[j] for j in grid.dims[p.k]])]
@@ -354,7 +348,6 @@ def test_passing_verify_computes_no_distance(monkeypatch):
     # exact table is built only when a radius claim fails.
     g = generate_random(60, 0.5, 11)
     emb = embed(g)
-    assert not emb.points.small
     calls = count_exact_distances(monkeypatch)
     assert verify(g, emb).verdict == "pass"
     assert calls == []
@@ -380,7 +373,7 @@ def test_recomputing_verify_sweeps_once(monkeypatch):
     g = generate_random(60, 0.5, 11)
     emb = embed(g)
     padded = replace(emb, points=PointSet.from_rows([row + (0,) for row in emb.points.points]))
-    assert block_dims(emb.picks)[-1].stop == padded.d - 1 and not padded.points.small
+    assert block_dims(emb.picks)[-1].stop == padded.d - 1
     module = importlib.import_module("sigdim.verify")
     sweeps, compute_sig = [], module.compute_sig
     monkeypatch.setattr(module, "compute_sig", lambda *args: sweeps.append(args) or compute_sig(*args))
@@ -392,11 +385,10 @@ def test_recomputing_verify_sweeps_once(monkeypatch):
 
 def test_passing_verify_skips_the_recomputation(monkeypatch):
     # A clean suite certifies the SIG and the radii: no sweep, no recomputation,
-    # on a kernel-sized point set and on a small one.  ``compute_sig`` holds
-    # the only sweep; it is stubbed where ``verify`` calls it and where it lives.
+    # on 60 points and on 4.  ``compute_sig`` holds the only sweep; it is
+    # stubbed where ``verify`` calls it and where it lives.
     big, small = generate_random(60, 0.5, 11), parse_graph(K13)
     embs = {g: embed(g) for g in (big, small)}
-    assert not embs[big].points.small and embs[small].points.small
     module = importlib.import_module("sigdim.verify")  # the package's ``verify`` is the function
     for target in (module, sigdim.sig):
         for name in ("compute_radii", "compute_sig"):
@@ -415,7 +407,6 @@ def test_self_witness_file_takes_the_recomputing_path():
     # point lies at distance r(c) from c.
     g = generate_random(60, 0.5, 11)
     emb = embed(g)
-    assert not emb.points.small
     c, w = min(emb.factor.residual.edges)
     factor = replace(emb.factor, stars={c: frozenset([c]), w: frozenset([w]), **emb.factor.stars},
                      residual=Matching(emb.factor.residual.edges - {(c, w)}))
@@ -446,7 +437,6 @@ def test_verify_matches_reference_on_tampered_claims(value):
     # Claims the kernel must refute, or that must not reach it.
     g = generate_random(45, 0.5, 7)
     emb = embed(g)
-    assert not emb.points.small
     assert_same_report(g, tamper_rv(emb, 23, value))
 
 
@@ -470,17 +460,3 @@ def test_verify_matches_reference_on_a_column_in_no_block():
     assert_same_report(g, moved)
 
 
-@given(embedded_gnp(), coordinate_moves)
-@settings(max_examples=25, deadline=None)
-def test_kernel_and_table_reports_agree(case, moves):
-    # The same reports whether verification reads the kernel or the table.
-    g, emb = case
-    for vertex, j, amount in moves:
-        emb = perturb(emb, vertex % g.n, j % emb.d, amount)
-    reports = []
-    for small in (0, 10**12):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sigdim.sig, "SMALL_TABLE", small)
-            fresh = replace(emb, points=PointSet.from_rows(emb.points.points))
-            reports.append(json.dumps(verify(g, fresh).to_json()))
-    assert reports[0] == reports[1]
