@@ -172,8 +172,8 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     be exactly what ``Embedding.to_json`` writes, compared as JSON text, so that
     0.0 or true does not pass for 0 or 1, nor "4/2" for 2.  The sources must
     also agree with each other: the picks partition the vertices, the factor is
-    a star-triangle factor of ``g`` (else ``PipelineError``), and the block
-    widths sum to the coordinate width.
+    a star-triangle factor of ``g`` (else ``PipelineError``), the block
+    widths sum to the coordinate width, and every radius is positive.
     """
     trace = data["trace"]
     rows = data["coords"]
@@ -205,8 +205,10 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
     r = rat_from_json(data["r"])
     if r <= 0:
         raise ValueError(f"radius must be a positive int or Fraction, got {r!r}")
-    sched = RadiusSchedule(r, schedule_m(pn, picks),
-                           {v: rat_from_json(x) for v, x in enumerate(trace["rv"])})
+    rv = dict(enumerate(map(rat_from_json, trace["rv"])))
+    if low := [v for v, x in rv.items() if x <= 0]:
+        raise ValueError(f"trace.rv[{low[0]}] must be a positive radius")
+    sched = RadiusSchedule(r, schedule_m(pn, picks), rv)
     emb = Embedding(g, factor, picks, pn, sched, points)
     ours, theirs = _fields(emb.to_json(coords=False)), _fields(data)
     differ = sorted(k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k))

@@ -33,7 +33,7 @@ from typing import Any, Iterable
 
 from .errors import PipelineError
 from .factor import StarTriangleFactor
-from .graphs import Graph, lowest, mask_of
+from .graphs import Graph, lowest, mask_of, members
 
 
 class PickClass(str, Enum):
@@ -106,8 +106,8 @@ class _Run:
     def __init__(self, g: Graph, f: StarTriangleFactor):
         self.g = g
         self.f = f
-        self.live: dict[int, set[int]] = {u: set(s) for u, s in f.stars.items()}
-        self.picked: set[int] = set()
+        self.star = {u: mask_of(s) for u, s in f.stars.items()}  # each center's leaves
+        self.full, self.picked = (1 << g.n) - 1, 0  # all vertices, and those picked, as masks
         self.picks: list[PickedSet] = []
 
     # -- shared helpers ----------------------------------------------------
@@ -123,26 +123,26 @@ class _Run:
         vs = tuple(sorted(vertices))
         if not vs:
             raise self.fail(step, "empty pick")
-        if dup := sorted(self.picked.intersection(vs)):
-            raise self.fail(step, f"vertex {dup[0]} picked twice", vertex=dup[0])
+        if dup := self.picked & (mask := mask_of(vs)):
+            raise self.fail(step, f"vertex {lowest(dup)} picked twice", vertex=lowest(dup))
         self.picks.append(PickedSet(len(self.picks), vs, cls, step, roles or {}))
-        for v in vs:
-            self.picked.add(v)
-            u = self.f.leaf_center.get(v)
-            if u is not None:
-                self.live[u].discard(v)
+        self.picked |= mask
+
+    def live(self, u: int) -> int:
+        """The leaves of u's star not yet picked, as a mask."""
+        return self.star[u] & ~self.picked
 
     def stars_left(self) -> list[int]:
         """Stars still in play: the center unpicked and some leaves live."""
-        return [u for u in sorted(self.live) if u not in self.picked and self.live[u]]
+        return [u for u in sorted(self.star) if not self.picked >> u & 1 and self.live(u)]
 
     # -- phase 1: triples drawn from three distinct stars --------------------
 
     def star_loop(self) -> None:
         while len(stars := self.stars_left()) >= 3:
             # A: stars with all leaves live; B: stars that lost some.
-            take_a = [u for u in stars if len(self.live[u]) == len(self.f.stars[u])]
-            take_b = [u for u in stars if len(self.live[u]) < len(self.f.stars[u])]
+            take_a = [u for u in stars if self.live(u) == self.star[u]]
+            take_b = [u for u in stars if self.live(u) != self.star[u]]
             nb = len(take_b)
             if nb > 3:
                 raise self.fail(2, f"more than three partially used stars: {nb}")
@@ -151,7 +151,7 @@ class _Run:
             if self.independent((x, y, z)):
                 self.emit((x, y, z), PickClass.SUPER_TRIPLE, 7)
                 continue
-            x1, y1, z1 = (min(self.live[u]) for u in (x, y, z))
+            x1, y1, z1 = (lowest(self.live(u)) for u in (x, y, z))
             candidates = [
                 ((x1, y, z), 9), ((x, y1, z), 9), ((x, y, z1), 9),
                 ((x, y1, z1), 10), ((x1, y, z1), 10), ((x1, y1, z), 10),
@@ -171,24 +171,20 @@ class _Run:
     # -- phase 2: remaining star centers -------------------------------------
 
     def leftover_centers(self) -> None:
-        rem = self.stars_left()
-        if len(rem) == 2:
-            self.emit(rem, PickClass.RANDOM, 18)
-        elif len(rem) == 1:
-            self.emit(rem, PickClass.RANDOM, 19)
+        if rem := self.stars_left():  # one or two: the star loop leaves fewer than three
+            self.emit(rem, PickClass.RANDOM, 18 if len(rem) == 2 else 19)
 
     # -- phases over the unpicked remainder ----------------------------------
 
     def unpicked(self) -> list[int]:
-        return [v for v in range(self.g.n) if v not in self.picked]
+        return members(self.full & ~self.picked)
 
     def triple_scan(self, wanted_edges: int) -> tuple[int, int, int] | None:
         """Smallest unpicked a < b < c with `wanted_edges` (0 or 1) edges, no two
         in one leaf group."""
         nbr, mates = self.g.masks, self.f.mates
-        rest = self.unpicked()
-        free = mask_of(rest)
-        for a in rest:
+        free = self.full & ~self.picked
+        for a in members(free):
             na = nbr[a]
             bs = free & ~mates.get(a, 0) & -(2 << a)  # b, then c: unpicked, above a
             if not wanted_edges:
@@ -213,50 +209,51 @@ class _Run:
 
     def leaf_group_endgame(self) -> bool:
         """Steps 26-39.  Returns True when the whole selection must stop."""
-        groups = [u for u in sorted(self.live) if self.live[u]]
+        groups = [u for u in sorted(self.star) if self.live(u)]
         if len(groups) > 2:
             raise self.fail(26, f"{len(groups)} leaf groups still unpicked", groups=groups)
         for u in groups:
-            if u not in self.picked:
+            if not self.picked >> u & 1:
                 raise self.fail(26, f"center {u} of live leaf group never picked", center=u)
         if not groups:
             return False
         if len(groups) == 2:
-            merged = sorted(self.live[groups[0]] | self.live[groups[1]])
-            self.emit(merged, PickClass.RESIDUAL, 27)
+            self.emit(members(self.live(groups[0]) | self.live(groups[1])), PickClass.RESIDUAL, 27)
             return False
 
         w = groups[0]
-        dw = self.live[w]
         while True:
-            if len(dw) <= 2:  # step 30
-                self.emit(sorted(dw), PickClass.RANDOM, 30)
+            dw = self.live(w)
+            leaves = members(dw)
+            if len(leaves) <= 2:  # step 30
+                self.emit(leaves, PickClass.RANDOM, 30)
                 return False
-            outside = sorted(set(self.unpicked()) - dw)
+            outside = members(self.full & ~(self.picked | dw))
             if not outside:  # step 32
-                self.emit(sorted(dw), PickClass.RESIDUAL, 32)
+                self.emit(leaves, PickClass.RESIDUAL, 32)
                 return True
-            if self._two_leaf_triple(outside, dw, w) or self._leaf_edge_triple(outside, dw, w):
+            if (self._two_leaf_triple(outside, leaves, w)
+                    or self._leaf_edge_triple(outside, leaves, w)):
                 continue
             if len(outside) == 1:  # step 37
                 self.emit(outside, PickClass.RANDOM, 37)
-            self.emit(sorted(dw), PickClass.RESIDUAL, 38)
+            self.emit(leaves, PickClass.RESIDUAL, 38)
             return False
 
-    def _two_leaf_triple(self, outside, dw, w) -> bool:
+    def _two_leaf_triple(self, outside, leaves, w) -> bool:
         """Step 33: an outside v0 and leaves w1 < w2 of w, independent; True if emitted."""
         for v0 in outside:
-            for w1, w2 in combinations(sorted(dw), 2):
+            for w1, w2 in combinations(leaves, 2):
                 if self.independent((v0, w1, w2)):
                     self.emit((v0, w1, w2), PickClass.TWO_LEAF_TRIPLE, 33,
                               roles={"v0": v0, "w1": w1, "w2": w2, "w": w})
                     return True
         return False
 
-    def _leaf_edge_triple(self, outside, dw, w) -> bool:
+    def _leaf_edge_triple(self, outside, leaves, w) -> bool:
         """Step 35: a leaf w0 of w and an outside edge v1v2 with w0 on v1 only."""
         nbr = self.g.masks
-        for w0 in sorted(dw):
+        for w0 in leaves:
             for va, vb in combinations(outside, 2):
                 if nbr[va] >> vb & 1 and (nbr[w0] >> va ^ nbr[w0] >> vb) & 1:
                     v1, v2 = (va, vb) if nbr[w0] >> va & 1 else (vb, va)
@@ -267,9 +264,8 @@ class _Run:
 
     def nonadjacent_pairs(self) -> None:
         """Step 40: repeatedly the smallest unpicked pair a < b with ab not an edge."""
-        rest = self.unpicked()
-        free = mask_of(rest)
-        for a in rest:
+        free = self.full & ~self.picked
+        for a in members(free):
             qs = free & ~self.g.masks[a] & -(2 << a)
             if free >> a & 1 and qs:
                 b = lowest(qs)

@@ -32,8 +32,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse a CLI rational: "7", "3/4" and decimal strings are accepted."""
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational {text!r}") from exc
+    except (ValueError, ZeroDivisionError) as exc:  # the text may run to thousands of digits
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise ValueError(f"invalid rational {shown}") from exc
 
 
 def ceil_log2(x: int) -> int:

@@ -9,14 +9,14 @@ on the boundary rho = r_u + r_v, where floating point would misclassify.
 An edge is a threshold question on grid integers, radii included, so the
 SIG needs no rho itself.  ``ThresholdKernel`` decides rho(u,v) < t on rows packed
 into one int each, at any size; ``compute_sig`` asks it once per pair, at
-r_u + r_v.  ``compute_radii`` reads the radii off the exact distance table
-(``PointSet.distances``), which ``compute_sig`` also sweeps at the radii it
-finds there, and at given radii only if one lies below 0.  ``verify`` checks
-scheduled radii on the SIG swept at them, so it builds the table only when
-they are not the radii; when its inequality suite passes it makes no sweep at
-all.  It tests its pseudo-neighbor and edge pairs one by one, and runs the
-same kernel over the columns of a point set, to screen a block's distances
-from one point to all.
+given radii r_u + r_v >= 0.  The exact distance table (``PointSet.distances``)
+has two readers: ``compute_radii``, and ``compute_sig`` without radii, which
+sweeps the table at the radii it finds there.  ``verify`` checks scheduled
+radii, all positive, on the SIG swept at them, so it builds the table only
+when they are not the radii; when its inequality suite passes it makes no
+sweep at all.  It tests its pseudo-neighbor and edge pairs one by one, and
+runs the same kernel over the columns of a point set (``within``), to screen
+a block's distances from one point to all.
 
 ``oracle_embed_2ia`` is the unconditional n-dimensional realization taking
 point v to row v of 2I + A; it is the reference oracle for everything else.
@@ -117,8 +117,9 @@ class ThresholdKernel:
     ``both`` reads the coordinates one by one.
 
     A threshold may also be split as t + s[v], with s[v] folded into row v
-    (``lowered``).  Both parts are then non-negative and clamped on their
-    own; their sum stays below 4m + 3, which K > 6m + 1 leaves room for.
+    (``lowered``), or into the fields of v (``fields``, for ``within``).  Both
+    parts are then non-negative and clamped on their own; their sum stays
+    below 4m + 3, which K > 6m + 1 leaves room for.
 
     The caller passes m (``PointSet.bound``), so that the row and the column
     kernel of one point set share one scan; any larger m would serve too.
@@ -152,6 +153,21 @@ class ThresholdKernel:
         """Top bit of field i set for each set bit i of a mask >= 0."""
         return int.from_bytes(b"".join([self._spread[b] for b in mask.to_bytes(
             -(-mask.bit_length() // 8), "little")]), "little")
+
+    def fields(self, s: list[int]) -> int:
+        """s[v] >= 0, clamped, in both fields of v: the ``raised`` of ``within``."""
+        return self.pack([self.clamp(x) for x in s] * 2)
+
+    def within(self, rows: list[int], values: list[int], t: int, raised: int = 0) -> int:
+        """Top bit of field v set iff |values[i] - rows[i][v]| < t + s[v] for every i.
+
+        Row i holds its entry v in field v; t >= 0, and ``raised`` is ``fields(s)`` or 0.
+        """
+        out, sign = self.top, self.ones - 2 * self.lo  # -1 in the fields v < d, +1 above
+        hi = (self.half - 1 + self.clamp(t) + self.m) * self.ones + raised
+        for row, a in zip(rows, values):  # fields v, d + v: K - 1 + t + s[v] +/- (a - entry v)
+            out &= hi - a * sign - row
+        return self.both(out)
 
     def lowered(self, s: list[int]) -> list[int]:
         """The rows, row v lowered by s[v] >= 0, for thresholds t + s[v] in ``near``."""
@@ -215,15 +231,13 @@ def compute_radii(ps: PointSet) -> list[int]:
 def compute_sig(ps: PointSet, radius: list[int] | None = None) -> Graph:
     """Edge uv iff rho(u,v) < r_u + r_v, decided in exact integer arithmetic.
 
-    ``radius`` holds grid radii, taken as given; without them ``compute_radii``
-    finds them in the exact table, which the sweep then reads.  Given radii are
-    swept by the kernel, r_v folded into row v, at any size; radii with one
-    below 0, which its split thresholds do not take, by the table.
+    Given grid radii >= 0 are taken as they are and swept by the kernel, r_v
+    folded into row v (a negative one raises); without them ``compute_radii``
+    finds the radii in the exact table, which the sweep then reads.
     """
     n = len(ps.grid)
-    if radius is None or min(radius) < 0:
-        radius = compute_radii(ps) if radius is None else radius
-        table = ps.distances
+    if radius is None:
+        radius, table = compute_radii(ps), ps.distances
         edges = [(u, v) for u, r in enumerate(radius) for v in range(u + 1, n)
                  if table[u][v] < r + radius[v]]
     else:

@@ -13,8 +13,9 @@ Four independent checks, all in exact arithmetic:
       (4) same bound for non-edges not sharing a star, v picked >= k,
       (5) |c_k(v) - c_k(u)| < r(u) + r(v)       for every edge.
 
-The suite is the certificate.  Take it over all k, with every grid radius at
-least 1, every u holding a pseudo-neighbor nu != u, and the blocks covering
+The suite is the certificate.  Every scheduled radius is positive (``_Grid``
+raises otherwise), so every grid radius is at least 1.  Take the suite over
+all k, with every u holding a pseudo-neighbor nu != u, and the blocks covering
 every coordinate, so that a bound in every block is a bound on rho:
 
   * radii: (2) covers every pair from its later-picked end, so rho(u,v) >=
@@ -34,19 +35,19 @@ the report holds Fractions.  Every check is a threshold question, so none
 needs rho itself.  When recomputed, the SIG is one ``sig.ThresholdKernel``
 sweep at the scheduled radii r(u) + r(v), and they are the radii iff every u
 has a neighbor in it at distance r(u) and none closer (``_recompute``).  The
-kernel serves point sets of every size; the table of exact distances is
-built only for a radius below 0, and on the recomputing path when that rule
-fails or a radius lies below 1.  A block's distance never exceeds rho, so
-rho(u,nu) <= r(u), or rho(u,v) < r(u) + r(v) on an edge, clears that pair of
-(1) or (5) in every block; one kernel test per pseudo-neighbor and per edge
-finds the other pairs, which are re-evaluated, block by block, as a full
-per-block scan orders them.  ``_Grid`` builds the (2)-(4) domains once, as
-vertex masks for each u picked at k, from the pick order
-``PickSequence.earlier`` and the star masks ``StarTriangleFactor.mates``:
-(2) the v picked at or before k; (3) u's star mates picked at or before k,
-and (4) the v outside u's star picked at or after k, both among u's
-non-neighbours.  A star mate picked after k is in no domain.  ``_Screen``
-runs the kernel over the columns, so one subtraction holds u against every v,
+kernel serves point sets of every size, and is verify's only distance path:
+the table of exact distances is built only when that rule fails, to find the
+true radii.  A block's distance never exceeds rho, so rho(u,nu) <= r(u), or
+rho(u,v) < r(u) + r(v) on an edge, clears that pair of (1) or (5) in every
+block; one kernel test per pseudo-neighbor and per edge finds the other
+pairs, which are re-evaluated, block by block, as a full per-block scan
+orders them.  ``_Grid`` builds the (2)-(4) domains once, as vertex masks for
+each u picked at k, from the pick order ``PickSequence.earlier`` and the
+star masks ``StarTriangleFactor.mates``: (2) the v picked at or before k;
+(3) u's star mates picked at or before k, and (4) the v outside u's star
+picked at or after k, both among u's non-neighbours.  A star mate picked
+after k is in no domain.  ``_Screen`` runs the kernel over the columns
+(``ThresholdKernel.within``), so one subtraction holds u against every v,
 and reads the same domains spread over its fields.  Only a u it flags gets
 the exact per-pair pass, which tests the same masks, so the failure list is
 that of a full scan.
@@ -121,6 +122,8 @@ class _Grid:
         self.points, self.cols = points, list(zip(*points.grid))
         self.dims = block_dims(emb.picks)
         self.rv = rv = to_grid((scheduled[v] for v in range(n)), scale)
+        if low := [v for v, r in enumerate(rv) if r < 1]:
+            raise ValueError(f"scheduled radius of vertex {low[0]} is not positive")
         # domains[u] = (f2, f3, f4): the v that (2), (3) and (4) read for u, as masks.
         earlier, mates, top = emb.picks.earlier, emb.factor.mates, (1 << n) - 1
         self.domains = [(0, 0, 0)] * n
@@ -132,48 +135,31 @@ class _Grid:
         self.screen = _Screen(self)
         n1 = list(map(members, emb.pseudo.near))  # N(u), in vertex order
         # A block's distance never exceeds rho, so only these pairs can fail
-        # (1) or (5) in some block.
-        if min(rv) < 0:  # outside input only; the kernel's thresholds start at 0
-            table = points.distances
-            self.far_pseudo = [(u, v) for u in range(n) for v in n1[u] if table[u][v] > rv[u]]
-            self.long_edges = [(u, v) for u in range(n) for v in members(g.masks[u] & -(2 << u))
-                               if table[u][v] >= rv[u] + rv[v]]
-        else:  # one kernel test per pseudo-neighbor and per edge, no C(n, 2) sweep
-            near, rows = points.kernel.near, points.kernel.lowered(rv)
-            self.far_pseudo, self.long_edges = [], []
-            for u in range(n):
-                edges = members(g.masks[u] & -(2 << u))
-                within, close = set(near(u, n1[u], rv[u] + 1)), set(near(u, edges, rv[u], rows))
-                self.far_pseudo.extend((u, v) for v in n1[u] if v not in within)
-                self.long_edges.extend((u, v) for v in edges if v not in close)
+        # (1) or (5) in some block: one kernel test per pseudo-neighbor and
+        # per edge finds them, no C(n, 2) sweep.
+        near, rows = points.kernel.near, points.kernel.lowered(rv)
+        self.far_pseudo, self.long_edges = [], []
+        for u in range(n):
+            edges = members(g.masks[u] & -(2 << u))
+            within, close = set(near(u, n1[u], rv[u] + 1)), set(near(u, edges, rv[u], rows))
+            self.far_pseudo.extend((u, v) for v in n1[u] if v not in within)
+            self.long_edges.extend((u, v) for v in edges if v not in close)
 
 
 class _Screen:
     """Block distances from one u to every v at once, against (2), (3) and (4).
 
-    ``sig.ThresholdKernel`` over the columns: its row j is column j packed
-    over all points, field v holding c_j[v].  Taking a row from u's value
-    spread over every field, plus the threshold, leaves the kernel's test of
-    |c_j[u] - c_j[v]| < t in the fields of v; radii fold in field by field.
-    Thresholds and radii are clamped, which can only flag more pairs: the
+    ``ThresholdKernel.within`` over the columns, field v holding c_j[v]: the
     screen picks the u that the exact per-pair pass must visit, nothing more.
     """
 
     def __init__(self, grid: _Grid):
         self.rv, self.dims = grid.rv, grid.dims
         self.kernel = kernel = ThresholdKernel(grid.cols, grid.points.bound)
-        self.by_rv = kernel.pack([kernel.clamp(r) for r in grid.rv] * 2)  # r(v) in both fields of v
+        self.by_rv = kernel.fields(grid.rv)
         # For each u: the v that (2) reads, and the v that (3) or (4) read, as top bits.
         self.before = [kernel.spread(f2) for f2, _, _ in grid.domains]
         self.apart = [kernel.spread(f3 | f4) for _, f3, f4 in grid.domains]
-
-    def within(self, rows: list[int], values: list[int], t: int, fold: bool) -> int:
-        """Top bit of field v set iff |values[j] - c_j[v]| < t (+ r(v) if fold) for all j."""
-        kernel = self.kernel
-        out, base = kernel.top, kernel.half - 1 + kernel.clamp(t) + kernel.m
-        for row, a in zip(rows, values):  # m + a spread over fields v, m - a over fields n + v
-            out &= (base - a) * kernel.ones + 2 * a * kernel.lo - (row - self.by_rv if fold else row)
-        return kernel.both(out)
 
     def may_fail(self, k: int, u: int, cols: list) -> bool:
         """Whether some v may fail (2), (3) or (4) against u, picked at k.
@@ -183,10 +169,10 @@ class _Screen:
         picked at k or before, (4) the v outside u's star picked at k or after.
         Neither reads a star mate picked after k.
         """
-        t = self.rv[u]
+        t, within = self.rv[u], self.kernel.within
         rows, values = [self.kernel.rows[j] for j in self.dims[k]], [c[u] for c in cols]
-        two = self.within(rows, values, t, False) | self.within(rows, values, 0, True)
-        return bool(two & self.before[u] or self.within(rows, values, t, True) & self.apart[u])
+        two = within(rows, values, t) | within(rows, values, 0, self.by_rv)
+        return bool(two & self.before[u] or within(rows, values, t, self.by_rv) & self.apart[u])
 
 
 def check_inequalities(g: Graph, emb: Embedding, k: int,
@@ -232,17 +218,18 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
 def _recompute(points: PointSet, rv: list[int]) -> tuple[list[int], Graph]:
     """The radii of ``points`` and their SIG, trying the grid radii ``rv`` first.
 
-    Take rv >= 1 and w a nearest neighbor of u.  If some v joined to u in the
-    SIG at rv has rho(u,v) <= rv[u], then rho(u,w) <= rv[u] < rv[u] + rv[w],
-    so w is joined to u too, and if none lies below rv[u], rho(u,w) = rv[u].
-    So rv are the radii iff each u passes both tests; exact radii >= 1 do, and
-    a coincident pair does not.  Otherwise the radii come from the exact table.
+    Take rv >= 0 and w a nearest neighbor of u, and let each u pass both
+    tests: some v joined to u in the SIG at rv has rho(u,v) <= rv[u], and
+    none has rho(u,v) < rv[u].  A w with rho(u,w) < rv[u] <= rv[u] + rv[w]
+    would be joined and fail the second, so rho(u,w) = rv[u].  A coincident
+    pair then has both claims 0 and is not joined, against the first test.
+    So rv are the radii iff each u passes both tests, which exact radii do.
+    Otherwise the radii come from the exact table.
     """
-    if min(rv) >= 1:
-        realized, near = compute_sig(points, rv), points.kernel.near
-        if all((within := near(u, a, r + 1)) and not near(u, within, r)
-               for u, (a, r) in enumerate(zip(map(members, realized.masks), rv))):
-            return list(rv), realized
+    realized, near = compute_sig(points, rv), points.kernel.near
+    if all((within := near(u, a, r + 1)) and not near(u, within, r)
+           for u, (a, r) in enumerate(zip(map(members, realized.masks), rv))):
+        return list(rv), realized
     radii = compute_radii(points)
     return radii, compute_sig(points, radii)
 
@@ -255,7 +242,7 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
     grid = _Grid(g, emb)
     failures = [f for k in range(emb.picks.count) for f in check_inequalities(g, emb, k, grid)]
     sig_equal = radius_agree = True  # what a clean suite implies, by the module docstring
-    if (failures or min(grid.rv) < 1 or grid.dims[-1].stop != emb.d
+    if (failures or grid.dims[-1].stop != emb.d
             or not all(x & ~(1 << u) for u, x in enumerate(emb.pseudo.near))):
         try:
             radii, realized = _recompute(grid.points, grid.rv)

@@ -623,6 +623,14 @@ def _dropped_triangle_vertex(data):
 
 
 _dropped_triangle_vertex.graph = C3
+
+
+def _rv_entry(value):
+    """A claimed radius that is no nearest-neighbour distance: it must be positive."""
+    def mutate(data):
+        data["trace"]["rv"][1] = value
+    mutate.message = "trace.rv[1] must be a positive radius"
+    return mutate
 _dropped_triangle_vertex.message = "must partition"
 
 
@@ -648,7 +656,8 @@ _dropped_triangle_vertex.message = "must partition"
                                     _extra_column, _m_entries(3), _renumbered_k,
                                     _top("extra", None), _top("delta", "4/2"),
                                     _top("trace.m", None), _self_leaves,
-                                    _dropped_triangle_vertex],
+                                    _dropped_triangle_vertex, _rv_entry(0), _rv_entry(-3),
+                                    _rv_entry("-1/3")],
                          ids=["short-rv", "short-m", "dims-range", "wrong-d", "ragged",
                               "unknown-pick", "missing-row", "empty-dims", "empty-pick",
                               "block-class", "shifted-dims", "stars-list", "stars-int",
@@ -659,7 +668,8 @@ _dropped_triangle_vertex.message = "must partition"
                               "bool-role", "role-range", "negative-role", "roles-list",
                               "extra-column", "tampered-m", "renumbered-k", "extra-key",
                               "unreduced-delta", "dotted-key", "self-leaves",
-                              "dropped-triangle-vertex"])
+                              "dropped-triangle-vertex", "rv-zero", "rv-negative",
+                              "rv-negative-fraction"])
 def test_malformed_embedding_json_rejected(tmp_path, capsys, mutate):
     graph = tmp_path / "g.txt"
     graph.write_text(getattr(mutate, "graph", K13))
@@ -683,6 +693,23 @@ def test_non_positive_r_rejected(tmp_path, capsys, r):
     out.write_text(json.dumps(data))
     code, stdout, stderr = run(capsys, "verify", graph, out)
     assert one_line_error(code, stdout, stderr) and "radius must be a positive" in stderr
+
+
+@pytest.mark.parametrize("where", ["--r", "trace.rv"])
+def test_long_rational_echoed_in_short(tmp_path, capsys, k2_file, where):
+    # 5,000 digits exceed what int() converts; the error line quotes only the start.
+    text = "1/" + "9" * 5000
+    if where == "--r":
+        code, stdout, stderr = run(capsys, "embed", k2_file, "--r", text)
+    else:
+        out = tmp_path / "g.json"
+        assert run(capsys, "embed", k2_file, "-o", out)[0] == 0
+        data = json.loads(out.read_text())
+        data["trace"]["rv"][1] = text
+        out.write_text(json.dumps(data))
+        code, stdout, stderr = run(capsys, "verify", k2_file, out)
+    assert one_line_error(code, stdout, stderr) and len(stderr) < 120
+    assert "invalid rational '1/999" in stderr and "(5002 characters)" in stderr
 
 
 @pytest.mark.parametrize("r", [None, Fraction(7, 3)], ids=["default-r", "r-7/3"])

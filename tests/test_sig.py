@@ -145,6 +145,28 @@ def test_kernel_decides_the_exact_threshold(rows, extra):
                     assert (kernel.near(u, [v], t, lowered) == [v]) == (rho < t + extra[v])
 
 
+@given(integer_rows(), st.lists(st.integers(0, 10**13), min_size=5, max_size=5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_within_decides_the_exact_threshold_over_columns(rows, extra, data):
+    # Over the columns, within holds one point against every v at once: the
+    # top bit of field v says whether rho(u,v) over the chosen columns is
+    # below t, or below t + s[v] with the fields raised by s.
+    m, d = max(abs(x) for r in rows for x in r), len(rows[0])
+    kernel = ThresholdKernel(list(zip(*rows)), m)
+    js = data.draw(st.lists(st.integers(0, d - 1), min_size=1, unique=True))
+    s = extra[:len(rows)]
+    raised, picked = kernel.fields(s), [kernel.rows[j] for j in js]
+    for u, a in enumerate(rows):
+        values = [a[j] for j in js]
+        for v, b in enumerate(rows):
+            rho, field_v = _dist(values, [b[j] for j in js]), kernel.spread(1 << v)
+            for t in (0, rho - 1, rho, rho + 1, 2 * m + 1, 2 * m + 2, 10**40):
+                if t >= 0:
+                    assert bool(kernel.within(picked, values, t) & field_v) == (rho < t)
+                    assert (bool(kernel.within(picked, values, t, raised) & field_v)
+                            == (rho < t + s[v]))
+
+
 @given(st.integers(1, 70), st.lists(st.integers(0, 2**70), max_size=30))
 @example(8, [255, 0, 7])  # the widths packed as machine words, and one that is not
 @example(16, [65535, 1, 2**70])
@@ -186,8 +208,9 @@ def test_radius_claims_confirmed_or_replaced():
         assert _recompute(ps, wrong) == (exact, table_sig(ps, exact))
     with pytest.raises(ValueError, match="duplicate points 0 and 2"):
         _recompute(points([[1, 2], [0, 5], [1, 2]]), [1, 1, 1])
-    # A radius vector with a negative entry is swept over the exact table.
-    assert compute_sig(ps, [-3, 3, 7, 8]).edges == {(1, 2), (1, 3), (2, 3)}
+    # A radius is never negative: the kernel refuses one rather than the table sweeping it.
+    with pytest.raises(ValueError, match="non-negative"):
+        compute_sig(ps, [-3, 3, 7, 8])
 
 
 @st.composite

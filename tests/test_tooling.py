@@ -81,16 +81,13 @@ def test_adjacency_read_through_graph_masks():
 
 def test_exact_table_read_only_where_the_kernel_does_not_serve():
     # The threshold kernel answers every threshold question, whatever the size
-    # of the point set.  PointSet.distances is read by compute_radii, swept by
-    # compute_sig at the radii read off it, and by _Grid only for radii below 0.
+    # of the point set.  PointSet.distances is read by compute_radii, and swept
+    # by compute_sig at the radii read off it.
     def allowed(path, tree):
         for node in ast.walk(tree):
             name = getattr(node, "name", None)
             if path.name == "sig.py" and name in ("compute_radii", "compute_sig"):
                 yield node.lineno, node.end_lineno
-            if path.name == "verify.py" and name == "_Grid":
-                yield from ((b.body[0].lineno, b.body[-1].end_lineno) for b in ast.walk(node)
-                            if isinstance(b, ast.If) and ast.unparse(b.test) == "min(rv) < 0")
 
     found, spans = [], 0
     for path in sorted(Path(sigdim.__file__).parent.glob("*.py")):
@@ -100,7 +97,17 @@ def test_exact_table_read_only_where_the_kernel_does_not_serve():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "distances"
                   and not any(lo <= node.lineno <= hi for lo, hi in ranges)]
-    assert spans == 3 and found == []
+    assert spans == 2 and found == []
+
+
+def test_field_format_read_only_by_the_kernel():
+    # ThresholdKernel owns its packed-field format: verify asks it questions
+    # and reads none of the attributes that lay the fields out.
+    layout = {"half", "ones", "lo", "top", "both", "clamp", "pack"}
+    tree = ast.parse((Path(sigdim.__file__).parent / "verify.py").read_text())
+    found = [f"verify.py:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in layout]
+    assert found == []
 
 
 def test_json_indent_passed_only_by_the_writer():

@@ -430,14 +430,26 @@ def tamper_rv(emb, vertex, value):
 
 
 @pytest.mark.parametrize("value", [
-    lambda r: 0, lambda r: -r, lambda r: Fraction(-1, 3), lambda r: 10**30,
-    lambda r: r + 1, lambda r: r - 1, lambda r: r + 2,
-], ids=["zero", "negative", "negative-off-grid", "huge", "plus1", "minus1", "plus2"])
+    lambda r: 10**30, lambda r: r + 1, lambda r: r - 1, lambda r: r + 2,
+], ids=["huge", "plus1", "minus1", "plus2"])
 def test_verify_matches_reference_on_tampered_claims(value):
-    # Claims the kernel must refute, or that must not reach it.
+    # Claims the kernel must refute.
     g = generate_random(45, 0.5, 7)
     emb = embed(g)
     assert_same_report(g, tamper_rv(emb, 23, value))
+
+
+@pytest.mark.parametrize("value", [lambda r: 0, lambda r: -r, lambda r: Fraction(-1, 3)],
+                         ids=["zero", "negative", "negative-off-grid"])
+def test_verify_rejects_non_positive_claims(value):
+    # A radius is a nearest-neighbour distance: a claim <= 0 is malformed input,
+    # refused where the grid is built, so it never reaches the kernel.
+    g = generate_random(45, 0.5, 7)
+    tampered = tamper_rv(embed(g), 23, value)
+    with pytest.raises(ValueError, match="scheduled radius of vertex 23 is not positive"):
+        verify(g, tampered)
+    with pytest.raises(ValueError, match="vertex 23"):
+        check_inequalities(g, tampered, 0)
 
 
 def test_verify_matches_reference_on_coincident_points():
