@@ -9,7 +9,7 @@ on the boundary rho = r_u + r_v, where floating point would misclassify.
 An edge is a threshold question on grid integers, radii included, so the
 SIG needs no rho itself.  ``ThresholdKernel`` decides rho(u,v) < t on rows packed
 into one int each, at any size; ``compute_sig`` asks it once per pair, at
-given radii r_u + r_v >= 0.  The exact distance table (``PointSet.distances``)
+r_u + r_v for given radii >= 0.  The exact distance table (``PointSet.distances``)
 has two readers: ``compute_radii``, and ``compute_sig`` without radii, which
 sweeps the table at the radii it finds there.  ``verify`` checks scheduled
 radii, all positive, on the SIG swept at them, so it builds the table only
