@@ -32,7 +32,7 @@ from .graphs import Graph, generate_exhaustive, parse_graph, sample_gnp
 from .matching import Matching
 from .picking import PickClass, PickedSet, PickSequence
 from .pseudo import build_pseudo, schedule_m, RadiusSchedule
-from .rationals import parse_rational, rat_from_json
+from .rationals import parse_rational, rat_from_json, shorten
 from .sig import PointSet, compute_sig, oracle_embed_2ia
 from .verify import verify
 
@@ -142,7 +142,7 @@ def _ints(values, what: str = "vertex ids") -> tuple[int, ...]:
     """A JSON list of integers; a float or a bool equal to one is not one."""
     ids = tuple(values)
     if not all(type(v) is int for v in ids):
-        raise ValueError(f"{what} must be integers, got {list(ids)}")
+        raise ValueError(f"{what} must be integers, got {shorten(str(list(ids)))}")
     return ids
 
 
@@ -204,7 +204,7 @@ def embedding_from_json(g: Graph, data: dict[str, Any]) -> Embedding:
         raise ValueError(f"the block widths must sum to the coordinate width {points.d}")
     r = rat_from_json(data["r"])
     if r <= 0:
-        raise ValueError(f"radius must be a positive int or Fraction, got {r!r}")
+        raise ValueError(f"radius must be a positive int or Fraction, got {shorten(repr(r))}")
     rv = dict(enumerate(map(rat_from_json, trace["rv"])))
     if low := [v for v, x in rv.items() if x <= 0]:
         raise ValueError(f"trace.rv[{low[0]}] must be a positive radius")
@@ -436,7 +436,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print("error: need 2 <= n-min <= n-max", file=sys.stderr)
         return EXIT_INPUT
     if args.count < 0:
-        print(f"error: --count must be non-negative, got {args.count}", file=sys.stderr)
+        print(f"error: --count must be non-negative, got {shorten(str(args.count))}",
+              file=sys.stderr)
         return EXIT_INPUT
     outdir = Path(args.bundle_dir)
     span = args.n_max - args.n_min + 1
@@ -562,11 +563,11 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "r", None) is not None:
             args.r = parse_rational(args.r)
             if args.r <= 0:
-                raise ValueError(f"radius must be positive, got {args.r}")
+                raise ValueError(f"radius must be positive, got {shorten(str(args.r))}")
         if getattr(args, "p", None) is not None:
             args.p = parse_rational(args.p)
             if not 0 <= args.p <= 1:
-                raise ValueError(f"edge probability must lie in [0, 1], got {args.p}")
+                raise ValueError(f"edge probability must lie in [0, 1], got {shorten(str(args.p))}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

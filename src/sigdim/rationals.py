@@ -19,22 +19,34 @@ def rat_to_json(x: Fraction) -> int | str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# Characters a parsed rational may hold, an exponent counting as the digits it
+# adds, so that every value derived from it stays printable.
+MAX_DIGITS = 1000
+
+
+def shorten(text: str, show=str) -> str:
+    """show(text), or show() of its first 40 characters and its length when longer."""
+    return show(text) if len(text) <= 40 else f"{show(text[:40])}... ({len(text)} characters)"
+
+
 def rat_from_json(value: int | str) -> int | Fraction:
     """A JSON rational: ints pass through as they are, "p/q" strings parse."""
     if type(value) is int:
         return value
     if isinstance(value, str):
         return parse_rational(value)
-    raise ValueError(f"not a rational: {value!r}")
+    raise ValueError(f"not a rational: {shorten(repr(value))}")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a CLI rational: "7", "3/4" and decimal strings are accepted."""
-    try:
-        return Fraction(text)
+    """Parse a CLI rational: "7", "3/4" and decimal strings, up to ``MAX_DIGITS`` long."""
+    mantissa, _, exponent = text.lower().partition("e")
+    try:  # a longer text is refused before Fraction builds it
+        if len(mantissa) + abs(int(exponent or 0)) <= MAX_DIGITS:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:  # the text may run to thousands of digits
-        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
-        raise ValueError(f"invalid rational {shown}") from exc
+        raise ValueError(f"invalid rational {shorten(text, repr)}") from exc
+    raise ValueError(f"invalid rational {shorten(text, repr)}: more than {MAX_DIGITS} digits")
 
 
 def ceil_log2(x: int) -> int:

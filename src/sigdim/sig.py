@@ -15,8 +15,8 @@ sweeps the table at the radii it finds there.  ``verify`` checks scheduled
 radii, all positive, on the SIG swept at them, so it builds the table only
 when they are not the radii; when its inequality suite passes it makes no
 sweep at all.  It tests its pseudo-neighbor and edge pairs one by one, and
-runs the same kernel over the columns of a point set (``within``), to screen
-a block's distances from one point to all.
+runs the same kernel over the columns of a point set (``within``): a block's
+distances from one point to all, whose failing fields ``gather`` reads off.
 
 ``oracle_embed_2ia`` is the unconditional n-dimensional realization taking
 point v to row v of 2I + A; it is the reference oracle for everything else.
@@ -153,6 +153,10 @@ class ThresholdKernel:
         """Top bit of field i set for each set bit i of a mask >= 0."""
         return int.from_bytes(b"".join([self._spread[b] for b in mask.to_bytes(
             -(-mask.bit_length() // 8), "little")]), "little")
+
+    def gather(self, x: int) -> int:
+        """The mask of the fields whose top bit is set in x >= 0: the inverse of ``spread``."""
+        return x and int(bin(x >> (self.width - 1))[:1:-1][::self.width][::-1], 2)
 
     def fields(self, s: list[int]) -> int:
         """s[v] >= 0, clamped, in both fields of v: the ``raised`` of ``within``."""

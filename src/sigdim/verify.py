@@ -41,25 +41,23 @@ true radii.  A block's distance never exceeds rho, so rho(u,nu) <= r(u), or
 rho(u,v) < r(u) + r(v) on an edge, clears that pair of (1) or (5) in every
 block; one kernel test per pseudo-neighbor and per edge finds the other
 pairs, which are re-evaluated, block by block, as a full per-block scan
-orders them.  ``_Grid`` builds the (2)-(4) domains once, as vertex masks for
-each u picked at k, from the pick order ``PickSequence.earlier`` and the
-star masks ``StarTriangleFactor.mates``: (2) the v picked at or before k;
-(3) u's star mates picked at or before k, and (4) the v outside u's star
-picked at or after k, both among u's non-neighbours.  A star mate picked
-after k is in no domain.  ``_Screen`` runs the kernel over the columns
-(``ThresholdKernel.within``), so one subtraction holds u against every v,
-and reads the same domains spread over its fields.  Only a u it flags gets
-the exact per-pair pass, which tests the same masks, so the failure list is
-that of a full scan.
+orders them.  ``_Grid`` builds the (2)-(4) domains once for each u picked at
+k, from the pick order ``PickSequence.earlier`` and the star masks
+``StarTriangleFactor.mates``: (2) the v picked at or before k; (3) u's star
+mates picked at or before k, and (4) the v outside u's star picked at or
+after k, both among u's non-neighbours.  A star mate picked after k is in no
+domain.  The domains are spread over the fields of the column kernel
+(``ThresholdKernel.within``), where one subtraction holds u against every v;
+the fields left set in a domain are that family's failing v
+(``ThresholdKernel.gather``), and only those pairs get a block distance, so
+the failure list is that of a full scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from math import lcm
-from operator import sub
 from typing import Any
 
 from .embedding import Embedding, block_dims, dimension_bound
@@ -124,15 +122,20 @@ class _Grid:
         self.rv = rv = to_grid((scheduled[v] for v in range(n)), scale)
         if low := [v for v, r in enumerate(rv) if r < 1]:
             raise ValueError(f"scheduled radius of vertex {low[0]} is not positive")
-        # domains[u] = (f2, f3, f4): the v that (2), (3) and (4) read for u, as masks.
+        # Field v of the column kernel's row j holds c_j[v], so one subtraction
+        # holds u against every v in a block (``ThresholdKernel.within``).
+        self.kernel = kernel = ThresholdKernel(self.cols, points.bound)
+        self.by_rv = kernel.fields(rv)
+        # domains[u] = (f2, f3 | f4, f3): the v that (2) reads for u, and the v
+        # that (3) or (4) read, as top bits; f3, a vertex mask, names the family.
         earlier, mates, top = emb.picks.earlier, emb.factor.mates, (1 << n) - 1
         self.domains = [(0, 0, 0)] * n
         for k, p in enumerate(emb.picks.picks):
             for u in p.vertices:
                 star, apart = mates.get(u, 0), top & ~(g.masks[u] | 1 << u)
-                self.domains[u] = (earlier[k + 1] & ~(1 << u), apart & earlier[k + 1] & star,
-                                   apart & ~(earlier[k] | star))
-        self.screen = _Screen(self)
+                f3, f4 = apart & earlier[k + 1] & star, apart & ~(earlier[k] | star)
+                self.domains[u] = (kernel.spread(earlier[k + 1] & ~(1 << u)),
+                                   kernel.spread(f3 | f4), f3)
         n1 = list(map(members, emb.pseudo.near))  # N(u), in vertex order
         # A block's distance never exceeds rho, so only these pairs can fail
         # (1) or (5) in some block: one kernel test per pseudo-neighbor and
@@ -146,42 +149,20 @@ class _Grid:
             self.long_edges.extend((u, v) for v in edges if v not in close)
 
 
-class _Screen:
-    """Block distances from one u to every v at once, against (2), (3) and (4).
-
-    ``ThresholdKernel.within`` over the columns, field v holding c_j[v]: the
-    screen picks the u that the exact per-pair pass must visit, nothing more.
-    """
-
-    def __init__(self, grid: _Grid):
-        self.rv, self.dims = grid.rv, grid.dims
-        self.kernel = kernel = ThresholdKernel(grid.cols, grid.points.bound)
-        self.by_rv = kernel.fields(grid.rv)
-        # For each u: the v that (2) reads, and the v that (3) or (4) read, as top bits.
-        self.before = [kernel.spread(f2) for f2, _, _ in grid.domains]
-        self.apart = [kernel.spread(f3 | f4) for _, f3, f4 in grid.domains]
-
-    def may_fail(self, k: int, u: int, cols: list) -> bool:
-        """Whether some v may fail (2), (3) or (4) against u, picked at k.
-
-        (2) reads every v picked at k or before.  (3) and (4) share the test
-        |c(u) - c(v)| < r(u) + r(v) on non-neighbours: (3) reads u's star mates
-        picked at k or before, (4) the v outside u's star picked at k or after.
-        Neither reads a star mate picked after k.
-        """
-        t, within = self.rv[u], self.kernel.within
-        rows, values = [self.kernel.rows[j] for j in self.dims[k]], [c[u] for c in cols]
-        two = within(rows, values, t) | within(rows, values, 0, self.by_rv)
-        return bool(two & self.before[u] or within(rows, values, t, self.by_rv) & self.apart[u])
-
-
 def check_inequalities(g: Graph, emb: Embedding, k: int,
                        grid: _Grid | None = None) -> list[InequalityFailure]:
-    """Evaluate families (1)-(5) for block k; returns one entry per violation."""
+    """Evaluate families (1)-(5) for block k; returns one entry per violation.
+
+    (2) reads every v picked at k or before.  (3) and (4) share the test
+    |c(u) - c(v)| < r(u) + r(v) on non-neighbours: (3) reads u's star mates
+    picked at k or before, (4) the v outside u's star picked at k or after.
+    Neither reads a star mate picked after k.  The column kernel decides all
+    three for one u against every v, and its fields are the failing v.
+    """
     if grid is None:
         grid = _Grid(g, emb)
-    cols = [grid.cols[j] for j in grid.dims[k]]
-    rv = grid.rv
+    cols, rows = [grid.cols[j] for j in grid.dims[k]], [grid.kernel.rows[j] for j in grid.dims[k]]
+    rv, by_rv, within, gather = grid.rv, grid.by_rv, grid.kernel.within, grid.kernel.gather
     fails: list[InequalityFailure] = []
 
     def record(ineq: int, u: int, v: int, lhs: int, rhs: int) -> None:
@@ -197,15 +178,14 @@ def check_inequalities(g: Graph, emb: Embedding, k: int,
             record(1, u, nu, lhs, rv[u])
 
     for u in emb.picks.picks[k].vertices:
-        if not grid.screen.may_fail(k, u, cols):
-            continue
-        ru, (f2, f3, f4) = rv[u], grid.domains[u]
-        f34 = f3 | f4
-        diffs = [map(abs, map(sub, c, repeat(c[u]))) for c in cols]
-        for v, lhs in enumerate(diffs[0] if len(diffs) == 1 else map(max, *diffs)):
-            if f2 >> v & 1 and lhs < max(ru, rv[v]):
+        ru, values, (f2, f34, f3) = rv[u], [c[u] for c in cols], grid.domains[u]
+        two = gather((within(rows, values, ru) | within(rows, values, 0, by_rv)) & f2)
+        apart = gather(within(rows, values, ru, by_rv) & f34)
+        for v in members(two | apart):
+            lhs = block_dist(u, v)
+            if two >> v & 1:
                 record(2, u, v, lhs, max(ru, rv[v]))
-            if f34 >> v & 1 and lhs < ru + rv[v]:
+            if apart >> v & 1:
                 record(3 if f3 >> v & 1 else 4, u, v, lhs, ru + rv[v])
 
     for u, v in grid.long_edges:

@@ -695,21 +695,45 @@ def test_non_positive_r_rejected(tmp_path, capsys, r):
     assert one_line_error(code, stdout, stderr) and "radius must be a positive" in stderr
 
 
-@pytest.mark.parametrize("where", ["--r", "trace.rv"])
-def test_long_rational_echoed_in_short(tmp_path, capsys, k2_file, where):
-    # 5,000 digits exceed what int() converts; the error line quotes only the start.
-    text = "1/" + "9" * 5000
+LONG_INPUTS = [  # where the value goes, the value
+    ("--r", "1/" + "9" * 5000), ("trace.rv", "1/" + "9" * 5000),
+    ("--r", "1e5000"), ("--r", "1e-5000"), ("--r", "1e10000000"),
+    ("--r", "-" + "9" * 4000), ("--r", "-" + "9" * 900),
+    ("--p", "9" * 900), ("--count", "-" + "9" * 900),
+    ("r", "1e5000"), ("r", "-" + "9" * 900), ("trace.rv", "1e-5000"),
+    ("trace.rv", [0] * 3000), ("picks", [0.5] * 3000),
+]
+
+
+@pytest.mark.parametrize("where, value", LONG_INPUTS, ids=[
+    "--r", "trace.rv", "--r-1e5000", "--r-1e-5000", "--r-1e10000000", "--r-4000-nines",
+    "--r-900-nines", "--p-900-nines", "--count-900-nines", "r-1e5000", "r-900-nines",
+    "trace.rv-1e-5000", "trace.rv-list", "picks-halves"])
+def test_long_rational_echoed_in_short(tmp_path, capsys, k2_file, where, value):
+    # 5,000 digits exceed what int() converts, and a huge exponent would take
+    # seconds to build; the error line quotes only the start of what it echoes.
+    fuzz = ["fuzz", "--n-min", "4", "--n-max", "4", "--seed", "1"]
     if where == "--r":
-        code, stdout, stderr = run(capsys, "embed", k2_file, "--r", text)
+        code, stdout, stderr = run(capsys, "embed", k2_file, "--r", value)
+    elif where == "--p":
+        code, stdout, stderr = run(capsys, *fuzz, "--count", "1", "--p", value)
+    elif where == "--count":
+        code, stdout, stderr = run(capsys, *fuzz, "--p", "1/2", "--count", value)
     else:
         out = tmp_path / "g.json"
         assert run(capsys, "embed", k2_file, "-o", out)[0] == 0
         data = json.loads(out.read_text())
-        data["trace"]["rv"][1] = text
+        if where == "r":
+            data["r"] = value
+        elif where == "trace.rv":
+            data["trace"]["rv"][1] = value
+        else:
+            data["trace"]["picks"][0]["vertices"] = value
         out.write_text(json.dumps(data))
         code, stdout, stderr = run(capsys, "verify", k2_file, out)
     assert one_line_error(code, stdout, stderr) and len(stderr) < 120
-    assert "invalid rational '1/999" in stderr and "(5002 characters)" in stderr
+    if value == "1/" + "9" * 5000:
+        assert "invalid rational '1/999" in stderr and "(5002 characters)" in stderr
 
 
 @pytest.mark.parametrize("r", [None, Fraction(7, 3)], ids=["default-r", "r-7/3"])

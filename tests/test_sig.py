@@ -189,6 +189,7 @@ def test_spread_sets_top_bits(width, bits):
     mask = sum(1 << i for i, b in enumerate(bits) if b)
     expected = sum(kernel.half << (kernel.width * i) for i, b in enumerate(bits) if b)
     assert kernel.spread(mask) == expected
+    assert kernel.gather(kernel.spread(mask)) == mask
 
 
 def test_kernels_of_one_width_share_the_spread_table():

@@ -103,7 +103,7 @@ def test_exact_table_read_only_where_the_kernel_does_not_serve():
 def test_field_format_read_only_by_the_kernel():
     # ThresholdKernel owns its packed-field format: verify asks it questions
     # and reads none of the attributes that lay the fields out.
-    layout = {"half", "ones", "lo", "top", "both", "clamp", "pack"}
+    layout = {"half", "ones", "lo", "top", "both", "clamp", "pack", "width"}
     tree = ast.parse((Path(sigdim.__file__).parent / "verify.py").read_text())
     found = [f"verify.py:{node.lineno} .{node.attr}" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in layout]

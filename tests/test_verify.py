@@ -297,8 +297,8 @@ def test_verify_matches_reference_on_star_mates():
 
 def test_misnumbered_picks_rejected():
     # A pick's k is its position.  With generate_random(40, 1/2, 3)'s labels
-    # reversed, the block screen (by position) and the exact pass (by k) would
-    # read different (2)-(4) domains, so the screen could skip a failing u.
+    # reversed, verify's (2)-(4) domains (built by position) and the radius
+    # schedule and block builders (which read k) would disagree.
     picks = embed(generate_random(40, 0.5, 3)).picks.picks
     with pytest.raises(ValueError, match="numbered by position"):
         PickSequence(tuple(replace(p, k=len(picks) - 1 - p.k) for p in picks))
@@ -306,13 +306,12 @@ def test_misnumbered_picks_rejected():
 
 def test_screen_flags_no_vertex_on_planted_stars():
     # Neither (3) nor (4) covers a star mate picked after u's block, so the
-    # screen leaves those pairs out; testing them flagged 30 of these 60
-    # vertices for the exact pass, which found nothing there.
+    # screen's domains leave those pairs out; testing them would flag 30 of
+    # these 60 vertices, and the screen's fields are the reported failures.
     g = planted_stars(60, 0)
     emb = embed(g)
     grid = _Grid(g, emb)
-    assert not [u for p in emb.picks.picks for u in p.vertices
-                if grid.screen.may_fail(p.k, u, [grid.cols[j] for j in grid.dims[p.k]])]
+    assert not [f for k in range(emb.picks.count) for f in check_inequalities(g, emb, k, grid)]
     assert_same_report(g, emb)
 
 
