@@ -26,13 +26,13 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, NoReturn
 
 from .embedding import Embedding, block_dims, dimension_bound, embed
-from .errors import GraphInputError, PipelineError
+from .errors import GraphInputError, PipelineError, shorten
 from .factor import StarTriangleFactor, validate_factor
 from .graphs import Graph, generate_exhaustive, parse_graph, sample_gnp
 from .matching import Matching
 from .picking import PickClass, PickedSet, PickSequence
 from .pseudo import build_pseudo, schedule_m, RadiusSchedule
-from .rationals import parse_rational, rat_from_json, shorten
+from .rationals import parse_rational, rat_from_json
 from .sig import PointSet, compute_sig, oracle_embed_2ia
 from .verify import verify
 
@@ -268,7 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     ps = oracle_embed_2ia(g)
-    ok = compute_sig(ps).edges == g.edges
+    ok = compute_sig(ps).masks == g.masks
     _emit(ps.to_json(), args.out)
     print(f"d={ps.d} roundtrip={'ok' if ok else 'MISMATCH'}",
           file=_summary_stream(args.out))
@@ -479,7 +479,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         failures = []
         for g in generate_exhaustive(n):
             graphs += 1
-            if compute_sig(oracle_embed_2ia(g)).edges == g.edges:
+            if compute_sig(oracle_embed_2ia(g)).masks == g.masks:
                 oracle_pass += 1
             _, failure = _run_instance(g, args.r)
             if failure is None:

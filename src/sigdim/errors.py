@@ -1,4 +1,4 @@
-"""Error types shared across the pipeline."""
+"""Error types shared across the pipeline, and the short quoting of what they echo."""
 
 from __future__ import annotations
 
@@ -14,6 +14,11 @@ def _reduce(exc: Exception) -> tuple:
     parent process as itself.
     """
     return copyreg.__newobj__, (type(exc), *exc.args), exc.__dict__
+
+
+def shorten(text: str, show=str) -> str:
+    """show(text), or show() of its first 40 characters and its length when longer."""
+    return show(text) if len(text) <= 40 else f"{show(text[:40])}... ({len(text)} characters)"
 
 
 class GraphInputError(ValueError):

@@ -1,9 +1,10 @@
 """Labeled simple graphs: representation, edge-list text format, generators.
 
-Vertices are dense integers ``0..n-1``.  Edges are stored as sorted pairs;
-every neighbour read goes through ``Graph.masks``, one bitmask per vertex, and
-the mask helpers here.  Everything downstream breaks ties by smallest vertex
-index, so ``members`` lists a mask's vertices in increasing order.
+Vertices are dense integers ``0..n-1``.  A graph stores one neighbour bitmask
+per vertex, ``Graph.masks``, and derives its edge pairs from them; every
+neighbour read goes through the masks and the helpers here.  Everything
+downstream breaks ties by smallest vertex index, so ``members`` lists a mask's
+vertices in increasing order.
 
 ``parse_graph`` reads the canonical text that ``Graph.serialize`` writes in
 bulk: one C pass over its separators, one C conversion of every token, and
@@ -22,14 +23,16 @@ from itertools import combinations, compress
 from operator import lt
 from typing import Iterable, Iterator
 
-from .errors import GraphInputError
+from .errors import GraphInputError, shorten
 
 Edge = tuple[int, int]
 _BITS = bytes.maketrans(b"01", b"\0\1")
 # Deletes the ASCII digits; what is left of a canonical text is " \n" per line.
 _NO_DIGITS = str.maketrans("", "", "0123456789")
-# Above this n, Graph.masks builds its rows one at a time (1 MiB of rows at once).
+# Above this n, the masks are built one row at a time (1 MiB of rows at once).
 _ALL_ROWS_MAX_N = 1024
+# The most vertices a graph file may declare, checked before anything n-sized is built.
+MAX_N = 1 << 13
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -58,49 +61,51 @@ def members(mask: int) -> list[int]:
     return list(compress(range(len(bits)), bits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Immutable simple graph on vertices 0..n-1."""
+    """Immutable simple graph on vertices 0..n-1, stored as its neighbour masks."""
 
     n: int
-    edges: frozenset[Edge]
+    masks: tuple[int, ...]  # bit u of masks[v] is set when uv is an edge
+
+    def __init__(self, n: int, edges: Iterable[Edge]):
+        """The graph of the given pairs of distinct vertices, each in either order."""
+        # One binary-digit row per vertex, parsed once: character -1 - u is bit u.
+        if n <= _ALL_ROWS_MAX_N:  # every row at once, n^2 bytes: the fastest way
+            rows = [bytearray(b"0") * n for _ in range(n)]
+            for u, v in edges:
+                rows[u][-1 - v] = rows[v][-1 - u] = ord("1")
+            masks = [int(row, 2) for row in rows]
+        else:  # one row at a time from neighbour lists: no n^2 bytes besides the masks
+            nbrs: list[list[int]] = [[] for _ in range(n)]
+            for u, v in edges:
+                nbrs[u].append(-1 - v)
+                nbrs[v].append(-1 - u)
+            zeros, masks = b"0" * n, []
+            for chars in nbrs:
+                row = bytearray(zeros) if chars else b"0"  # no row for an isolated vertex
+                for c in chars:
+                    row[c] = ord("1")
+                masks.append(int(row, 2))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", tuple(masks))
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[Edge]) -> Graph:
         if n < 0:
             raise GraphInputError("range", f"negative vertex count {n}")
-        edges = set()
+        pairs = list(pairs)
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphInputError("range", f"endpoint out of range: {u} {v}")
             if u == v:
                 raise GraphInputError("self_loop", f"self-loop at vertex {u}")
-            edges.add(norm_edge(u, v))
-        return Graph(n, frozenset(edges))
+        return Graph(n, pairs)
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Neighbour bitmasks: bit u of masks[v] is set when uv is an edge."""
-        # One binary-digit row per vertex, parsed once: character -1 - u is bit u.
-        n = self.n
-        if n <= _ALL_ROWS_MAX_N:  # every row at once, n^2 bytes: the fastest way
-            rows = [bytearray(b"0") * n for _ in range(n)]
-            for u, v in self.edges:
-                rows[u][-1 - v] = rows[v][-1 - u] = ord("1")
-            return tuple(int(row, 2) for row in rows)
-        # One row at a time from neighbour lists: no n^2 bytes besides the masks.
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            nbrs[u].append(-1 - v)
-            nbrs[v].append(-1 - u)
-        zeros = b"0" * n
-        out = []
-        for chars in nbrs:
-            row = bytearray(zeros)
-            for c in chars:
-                row[c] = ord("1")
-            out.append(int(row, 2))
-        return tuple(out)
+    def edges(self) -> frozenset[Edge]:
+        """The edges as pairs u < v, derived from the masks."""
+        return frozenset((u, v) for v, x in enumerate(self.masks) for u in members(x & ~(-1 << v)))
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether uv is an edge; False for any id outside 0..n-1."""
@@ -110,16 +115,8 @@ class Graph:
         """Inputs to the embedding pipeline need n >= 2 and minimum degree 1."""
         if self.n < 2:
             raise GraphInputError("too_small", f"need at least 2 vertices, got {self.n}")
-        if 2 * len(self.edges) >= self.n:
-            if all(self.masks):
-                return
-            bad = self.masks.index(0)
-        else:
-            # 2m < n, so some vertex is isolated, the first among the first 2m+1:
-            # find it from the edge ends, not from n masks (n may be huge).
-            ends = {v for e in self.edges for v in e}
-            bad = next(v for v in range(self.n) if v not in ends)
-        raise GraphInputError("isolated", f"isolated vertex {bad}")
+        if not all(self.masks):
+            raise GraphInputError("isolated", f"isolated vertex {self.masks.index(0)}")
 
     def serialize(self) -> str:
         lines = [f"{self.n} {len(self.edges)}"]
@@ -159,10 +156,10 @@ def _parse_canonical(text: str) -> Graph | None:
         return None
     n, m = nums[0], nums[1]
     us, vs = nums[2::2], nums[3::2]
-    edges = frozenset(zip(us, vs))
-    if len(us) == len(edges) == m and all(map(lt, us, vs)) and (not vs or max(vs) < n):
-        return Graph(n, edges)
-    return None
+    if n > MAX_N or len(us) != m or not all(map(lt, us, vs)) or vs and max(vs) >= n:
+        return None
+    g = Graph(n, zip(us, vs))  # distinct pairs u < v set 2m bits in all, duplicates fewer
+    return g if sum(map(int.bit_count, g.masks)) == 2 * m else None
 
 
 def _parse_lines(text: str) -> Graph:
@@ -171,35 +168,38 @@ def _parse_lines(text: str) -> Graph:
     if not lines:
         raise GraphInputError("malformed", "empty input")
     header = lines[0].split()
+    quoted = shorten(lines[0], repr)
     if len(header) != 2:
-        raise GraphInputError("malformed", f"expected 'n m' header, got {lines[0]!r}", line=1)
+        raise GraphInputError("malformed", f"expected 'n m' header, got {quoted}", line=1)
     try:
         n, m = int(header[0]), int(header[1])
     except ValueError:
-        raise GraphInputError("malformed", f"non-integer header {lines[0]!r}", line=1) from None
+        raise GraphInputError("malformed", f"non-integer header {quoted}", line=1) from None
     if n < 0 or m < 0:
-        raise GraphInputError("malformed", f"negative counts in header {lines[0]!r}", line=1)
+        raise GraphInputError("malformed", f"negative counts in header {quoted}", line=1)
+    if n > MAX_N:
+        raise GraphInputError("too_large", f"more than {MAX_N} vertices in header {quoted}", line=1)
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:
-        raise GraphInputError("malformed", f"expected {m} edge lines, got {len(body)}")
+        raise GraphInputError("malformed", f"expected {shorten(str(m))} edge lines, got {len(body)}")
     edges: set[Edge] = set()
     for i, ln in enumerate(body, start=2):
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphInputError("malformed", f"expected 'u v', got {ln!r}", line=i)
+            raise GraphInputError("malformed", f"expected 'u v', got {shorten(ln, repr)}", line=i)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphInputError("malformed", f"non-integer endpoints {ln!r}", line=i) from None
+            raise GraphInputError("malformed", f"non-integer endpoints {shorten(ln, repr)}",
+                                  line=i) from None
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphInputError("range", f"endpoint out of range: {ln!r}", line=i)
+            raise GraphInputError("range", f"endpoint out of range: {shorten(ln, repr)}", line=i)
         if u == v:
             raise GraphInputError("self_loop", f"self-loop at vertex {u}", line=i)
-        e = norm_edge(u, v)
-        if e in edges:
+        if (e := norm_edge(u, v)) in edges:
             raise GraphInputError("duplicate", f"duplicate edge {u} {v}", line=i)
         edges.add(e)
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 def generate_exhaustive(n: int) -> Iterator[Graph]:
@@ -211,10 +211,12 @@ def generate_exhaustive(n: int) -> Iterator[Graph]:
     if not 2 <= n <= 6:
         raise GraphInputError("range", f"exhaustive generation supports 2..6, got {n}")
     pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
-        if len({v for e in edges for v in e}) == n:
-            yield Graph(n, frozenset(edges))
+    covered = [0]  # covered[mask]: the vertices that mask's edges touch
+    for u, v in pairs:
+        covered += [c | 1 << u | 1 << v for c in covered]
+    for mask, c in enumerate(covered):
+        if c == (1 << n) - 1:
+            yield Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
 
 
 def sample_gnp(n: int, p, seed: int) -> tuple[Graph, tuple[Edge, ...]]:
@@ -227,10 +229,7 @@ def sample_gnp(n: int, p, seed: int) -> tuple[Graph, tuple[Edge, ...]]:
         raise GraphInputError("too_small", f"need at least 2 vertices, got {n}")
     prob = float(p)
     rng = random.Random(seed)
-    edges: set[Edge] = set()
-    for u, v in combinations(range(n), 2):
-        if rng.random() < prob:
-            edges.add((u, v))
+    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < prob]
     touched = {v for e in edges for v in e}
     repairs: list[Edge] = []
     for v in range(n):
@@ -239,10 +238,9 @@ def sample_gnp(n: int, p, seed: int) -> tuple[Graph, tuple[Edge, ...]]:
             if u >= v:
                 u += 1
             e = norm_edge(u, v)
-            edges.add(e)
             repairs.append(e)
             touched.update(e)
-    return Graph(n, frozenset(edges)), tuple(repairs)
+    return Graph(n, edges + repairs), tuple(repairs)
 
 
 def generate_random(n: int, p, seed: int) -> Graph:

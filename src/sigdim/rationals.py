@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .errors import shorten
+
 
 def rat_to_json(x: Fraction) -> int | str:
     if x.denominator == 1:
@@ -22,11 +24,6 @@ def rat_to_json(x: Fraction) -> int | str:
 # Characters a parsed rational may hold, an exponent counting as the digits it
 # adds, so that every value derived from it stays printable.
 MAX_DIGITS = 1000
-
-
-def shorten(text: str, show=str) -> str:
-    """show(text), or show() of its first 40 characters and its length when longer."""
-    return show(text) if len(text) <= 40 else f"{show(text[:40])}... ({len(text)} characters)"
 
 
 def rat_from_json(value: int | str) -> int | Fraction:

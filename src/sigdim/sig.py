@@ -247,7 +247,7 @@ def compute_sig(ps: PointSet, radius: list[int] | None = None) -> Graph:
     else:
         near, rows = ps.kernel.near, ps.kernel.lowered(radius)
         edges = [(u, v) for u, r in enumerate(radius) for v in near(u, range(u + 1, n), r, rows)]
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 def oracle_embed_2ia(g: Graph) -> PointSet:

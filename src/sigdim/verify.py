@@ -230,7 +230,7 @@ def verify(g: Graph, emb: Embedding) -> VerificationReport:
             diagnostics["degenerate"] = str(exc)
             return VerificationReport(False, False, False, [], diagnostics)
 
-        sig_equal = realized.edges == g.edges
+        sig_equal = realized.masks == g.masks
         if not sig_equal:
             diagnostics["missing_edges"] = [list(e) for e in sorted(g.edges - realized.edges)[:10]]
             diagnostics["extra_edges"] = [list(e) for e in sorted(realized.edges - g.edges)[:10]]

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import sigdim
 from sigdim import Graph, embed, generate_random, parse_graph
 from sigdim.cli import _dumps, _fuzz_instance, embedding_from_json, main
+from sigdim.graphs import MAX_N
 from conftest import C3, K2, K13, planted_stars
 
 
@@ -68,6 +69,27 @@ def test_isolated_vertex_rejected_before_the_points(tmp_path, capsys, command):
     argv = [command, path] + ([tmp_path / "missing.json"] if command == "verify" else [])
     code, _, stderr = run(capsys, *argv)
     assert code == 1 and stderr == "error: isolated vertex 2\n"
+
+
+@pytest.mark.parametrize("command", ["embed", "oracle", "verify"])
+def test_header_above_the_cap_rejected_before_the_points(tmp_path, capsys, command):
+    path = tmp_path / "big.txt"
+    path.write_text(f"{MAX_N + 1} 1\n0 1\n")
+    argv = [command, path] + ([tmp_path / "missing.json"] if command == "verify" else [])
+    code, _, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stderr == f"error: more than {MAX_N} vertices in header '{MAX_N + 1} 1' (line 1)\n"
+
+
+@pytest.mark.parametrize("line,text", [(2, "2 1\n0 " + "1" * 9000 + "\n"),
+                                       (1, "9" * 8998 + " 1\n0 1\n")],
+                         ids=["9000-digit-endpoint", "9000-character-header"])
+def test_long_graph_line_echoed_in_short(tmp_path, capsys, line, text):
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    code, stdout, stderr = run(capsys, "embed", path)
+    assert one_line_error(code, stdout, stderr) and len(stderr) <= 120
+    assert stderr.endswith(f"... ({len(text.splitlines()[line - 1])} characters) (line {line})\n")
 
 
 @pytest.mark.parametrize("command,checks", [("embed", 2), ("oracle", 1), ("verify", 1)])

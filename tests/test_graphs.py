@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sigdim import Graph, GraphInputError, generate_exhaustive, generate_random, parse_graph
-from sigdim.graphs import (_ALL_ROWS_MAX_N, _parse_canonical, _parse_lines, lowest, mask_of,
-                           members, sample_gnp)
+from sigdim.graphs import (_ALL_ROWS_MAX_N, MAX_N, _parse_canonical, _parse_lines, lowest,
+                           mask_of, members, sample_gnp)
 from oracles import count_min_degree_one
 
 
@@ -40,11 +42,16 @@ def test_parse_rejects(text, kind):
 
 
 @st.composite
-def graphs(draw, max_n=8):
+def edge_sets(draw, max_n=8):
+    """(n, pairs u < v) with n >= 2."""
     n = draw(st.integers(2, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.integers(0, 2 ** len(pairs) - 1))
-    return Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+    return n, [p for i, p in enumerate(pairs) if mask >> i & 1]
+
+
+def graphs(max_n=8):
+    return edge_sets(max_n).map(lambda drawn: Graph(*drawn))
 
 
 @given(graphs())
@@ -53,11 +60,22 @@ def test_serialize_roundtrip(g):
     assert parse_graph(g.serialize()) == g
 
 
-@given(graphs(max_n=20))
+def test_graph_stores_only_its_masks():
+    assert [f.name for f in fields(Graph)] == ["n", "masks"]
+
+
+@given(edge_sets(max_n=20), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
-def test_masks_hold_the_neighbours(g):
-    assert g.masks == tuple(sum(1 << u for e in g.edges if v in e for u in e if u != v)
-                            for v in range(g.n))
+def test_masks_hold_the_neighbours(drawn, rng):
+    # Any order of the pairs, either orientation, repeats: the same masks, and
+    # the derived edges are the distinct pairs u < v.
+    n, pairs = drawn
+    given_pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs * 2]
+    rng.shuffle(given_pairs)
+    g = Graph(n, given_pairs)
+    assert g.masks == tuple(sum(1 << u for e in pairs if v in e for u in e if u != v)
+                            for v in range(n))
+    assert g.edges == frozenset(pairs)
 
 
 # Dense masks, and masks of up to 20 vertices below 300: members switches
@@ -140,30 +158,42 @@ def test_delete_vertex_relabels():
 
 
 def test_huge_header_rejected_without_allocating():
-    # The isolated-vertex check must not build adjacency for every vertex.
+    # A header above the cap is refused before anything n-sized is built, and
+    # at the cap an edgeless graph gets no row for any of its isolated vertices.
     tracemalloc.start()
     try:
-        g = parse_graph("1000000 0\n")
+        with pytest.raises(GraphInputError, match=f"more than {MAX_N} vertices") as err:
+            parse_graph("1000000 0\n")
+        g = parse_graph(f"{MAX_N} 0\n")
         with pytest.raises(GraphInputError, match="isolated vertex 0"):
             g.require_embeddable()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert (err.value.kind, err.value.line) == ("too_large", 1)
     assert peak < 1 << 20
 
 
-def _plain_masks(g):
-    masks = [0] * g.n
-    for u, v in g.edges:
+def _plain_masks(n, pairs):
+    masks = [0] * n
+    for u, v in pairs:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return tuple(masks)
 
 
-@pytest.mark.parametrize("n,p", [(_ALL_ROWS_MAX_N, 0.01), (_ALL_ROWS_MAX_N + 1, 0.01), (1500, 0.004)])
+@pytest.mark.parametrize("n,p", [(_ALL_ROWS_MAX_N, 0.01), (_ALL_ROWS_MAX_N + 1, 0.01),
+                                 (1500, 0.004), (MAX_N, None)])
 def test_masks_agree_on_both_sides_of_the_row_at_a_time_switch(n, p):
-    g = generate_random(n, p, 5)
-    assert g.masks == _plain_masks(g)
+    # The reference is built from the input pairs. At the cap they are hand-built:
+    # a perfect matching, a long chord, and a star on the last vertex.
+    rng = random.Random(5)
+    pairs = ([(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p] if p else
+             [(v, v + 1) for v in range(0, n, 2)] + [(3, n - 4)]
+             + [(v, n - 1) for v in range(0, n - 1, 97)])
+    g = Graph(n, pairs)
+    assert g.masks == _plain_masks(n, pairs)
+    assert g.edges == frozenset(pairs)
 
 
 def test_isolated_check_on_a_large_sparse_graph_stays_below_n_squared_bytes():
@@ -192,8 +222,8 @@ def test_has_edge_is_false_outside_the_vertex_range():
 
 
 @pytest.mark.parametrize("text,bad", [
-    ("5 2\n0 1\n2 3\n", 4),       # 2m < n: found from the edge ends
-    ("5 3\n0 1\n0 3\n1 3\n", 2),  # 2m >= n: the first zero mask
+    ("5 2\n0 1\n2 3\n", 4),       # the first zero mask, whether 2m < n
+    ("5 3\n0 1\n0 3\n1 3\n", 2),  # or not
     ("4 2\n1 2\n2 3\n", 0),
 ])
 def test_require_embeddable_names_the_first_isolated_vertex(text, bad):
@@ -315,6 +345,8 @@ def edge_list_texts(draw):
 @example("4 2\n0 1 2\n3\n")
 @example("\n")
 @example("")
+@example(f"{MAX_N} 1\n0 {MAX_N - 1}\n")
+@example(f"{MAX_N + 1} 1\n0 {MAX_N}\n")
 @settings(max_examples=400, deadline=None)
 def test_bulk_parse_matches_the_line_loop(text):
     # Whatever path parse_graph takes, the graph or the error (kind, line and

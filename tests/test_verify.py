@@ -357,6 +357,14 @@ def test_passing_verify_computes_no_distance(monkeypatch):
     assert len(calls) == len(set(calls)) == g.n * (g.n - 1) // 2
 
 
+def test_passing_verify_leaves_the_edge_pairs_unbuilt():
+    # Embed and a passing verify read the graph's masks alone; the edge pairs
+    # derived from them are built only for a failing report's diagnostics.
+    for g in (generate_random(60, 0.5, 11), parse_graph(K13), planted_stars(60, 0)):
+        assert verify(g, embed(g)).verdict == "pass"
+        assert "edges" not in vars(g)
+
+
 class Recomputed(Exception):
     pass
 
