@@ -74,7 +74,7 @@ class Graph:
         if n <= _ALL_ROWS_MAX_N:  # every row at once, n^2 bytes: the fastest way
             rows = [bytearray(b"0") * n for _ in range(n)]
             for u, v in edges:
-                rows[u][-1 - v] = rows[v][-1 - u] = ord("1")
+                rows[u][-1 - v] = rows[v][-1 - u] = b"1"[0]  # folded to a constant
             masks = [int(row, 2) for row in rows]
         else:  # one row at a time from neighbour lists: no n^2 bytes besides the masks
             nbrs: list[list[int]] = [[] for _ in range(n)]
@@ -85,7 +85,7 @@ class Graph:
             for chars in nbrs:
                 row = bytearray(zeros) if chars else b"0"  # no row for an isolated vertex
                 for c in chars:
-                    row[c] = ord("1")
+                    row[c] = b"1"[0]
                 masks.append(int(row, 2))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", tuple(masks))
